@@ -50,7 +50,7 @@ var (
 	config   = flag.String("config", "pmfuzz", "comparison point: pmfuzz, pmfuzz-no-sysopt, afl++, afl++-sysopt, afl++-imgfuzz")
 	budgetMS = flag.Int64("budget-ms", 500, "simulated-time budget in milliseconds")
 	seed     = flag.Int64("seed", 1, "session seed (identical seeds replay identically)")
-	workers  = flag.Int("workers", 1, "parallel fuzzing workers: 1 = the paper's single-instance trajectory, 0 = one per CPU, N = an N-instance fleet (deterministic per seed+workers)")
+	workers  = flag.Int("workers", 1, "fuzzing workers: 1 = a single instance (a fleet of one), 0 = one per CPU, N = an N-instance fleet (deterministic per seed+workers)")
 	list     = flag.Bool("list", false, "list workloads and configurations, then exit")
 
 	// Two-stage pipeline (the original tool's --cores-stage1/--cores-stage2).

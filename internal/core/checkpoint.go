@@ -1,13 +1,17 @@
 package core
 
 // Whole-session checkpoint/resume. A checkpoint freezes a Workers=1
-// session at its budget boundary — queue entries and scheduler state,
-// RNG draw counts, virgin maps, the simulated clock, the image store's
-// blobs and cache order, stage-2 promotion state, and the exact serial
-// loop position — so a resumed session with a larger budget continues
-// the identical deterministic trajectory: the resumed run's JSONL trace
-// concatenated onto the checkpointed run's is byte-identical to an
-// uninterrupted session's (golden-pinned in CI).
+// session at a round boundary — queue entries and scheduler state, the
+// queue's and worker 0's RNG draw counts, virgin maps, the simulated
+// clock, the image store's blobs, worker 0's cache order, stage-2
+// promotion state, and the seed warm-up position — so a resumed session
+// with a larger budget continues the identical deterministic trajectory:
+// the resumed run's JSONL trace concatenated onto the checkpointed run's
+// is byte-identical to an uninterrupted session's (golden-pinned in CI).
+//
+// Worker 0's private virgin maps need no saving: with one worker they
+// equal the authoritative pair at every round boundary, and the refresh
+// before the first lease restores them.
 //
 // Deliberately not serialized: minimized repro bundles (only their
 // count, which gates further minimization) and telemetry sink state —
@@ -25,7 +29,7 @@ import (
 )
 
 // checkpointVersion guards the state format.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 type ckptBlob struct {
 	ID   string `json:"id"`
@@ -43,13 +47,13 @@ type checkpointState struct {
 	Version         int            `json:"version"`
 	Config          Config         `json:"config"`
 	ClockNS         int64          `json:"clock_ns"`
-	ClockBase       int64          `json:"clock_base"`
 	Execs           int            `json:"execs"`
 	OracleChecks    int            `json:"oracle_checks"`
 	ReproCount      int            `json:"repro_count"`
 	Stage2Campaigns int            `json:"stage2_campaigns"`
 	Stage2Execs     int            `json:"stage2_execs"`
-	Pos             loopPos        `json:"pos"`
+	WarmNext        int            `json:"warm_next"`
+	WarmEnd         int            `json:"warm_end"`
 	Series          []Sample       `json:"series"`
 	Faults          []Fault        `json:"faults"`
 	FaultMsgs       []string       `json:"fault_msgs"`
@@ -62,20 +66,20 @@ type checkpointState struct {
 	QueueDraws      uint64         `json:"queue_draws"`
 	MutDraws        uint64         `json:"mut_draws"`
 	Blobs           []ckptBlob     `json:"blobs"`
-	CacheLRU        []string       `json:"cache_lru"`
+	CacheOrder      []string       `json:"cache_order"`
 	StoreStats      imgstore.Stats `json:"store_stats"`
 	Promoter        *ckptPromoter  `json:"promoter,omitempty"`
 }
 
-// EnableCheckpoint puts the session in checkpoint mode: the serial loop
-// stops scheduling work once the simulated clock reaches atNS (no forced
-// final sample, no end event, no stage 2) so SaveCheckpoint captures a
-// state the resumed run continues seamlessly. The session keeps its full
-// BudgetNS — in-execution budget gates (harvest sweeps, probabilistic
-// failure runs) still see the real horizon, so the checkpointed prefix is
-// byte-identical to the same span of an uninterrupted session. Only
-// Workers=1 sessions checkpoint — the parallel engine's worker shards
-// are not serialized.
+// EnableCheckpoint puts the session in checkpoint mode: leasing stops at
+// the first round boundary where the merged clock has reached atNS (no
+// forced final sample, no end event, no stage 2) so SaveCheckpoint
+// captures a state the resumed run continues seamlessly. The session
+// keeps its full BudgetNS — budget checks inside a lease (harvest
+// sweeps, probabilistic failure runs) still see the real horizon, so the
+// checkpointed prefix is byte-identical to the same span of an
+// uninterrupted session. Only Workers=1 sessions checkpoint — the other
+// workers' private state is not serialized.
 func (f *Fuzzer) EnableCheckpoint(atNS int64) error {
 	if f.cfg.stage1Workers() != 1 {
 		return errors.New("core: checkpoint requires a single-worker session")
@@ -83,8 +87,7 @@ func (f *Fuzzer) EnableCheckpoint(atNS int64) error {
 	if atNS <= 0 || atNS > f.cfg.BudgetNS {
 		return fmt.Errorf("core: checkpoint instant %dns outside the session budget %dns", atNS, f.cfg.BudgetNS)
 	}
-	f.ckptMode = true
-	f.stopNS = atNS
+	f.ckptNS = atNS
 	return nil
 }
 
@@ -94,17 +97,20 @@ func (f *Fuzzer) SaveCheckpoint() ([]byte, error) {
 	if f.cfg.stage1Workers() != 1 {
 		return nil, errors.New("core: checkpoint requires a single-worker session")
 	}
+	if f.lead == nil {
+		return nil, errors.New("core: checkpoint without a Run in checkpoint mode")
+	}
 	st := checkpointState{
 		Version:         checkpointVersion,
 		Config:          f.cfg,
 		ClockNS:         f.clock.Now(),
-		ClockBase:       f.clockBase,
 		Execs:           f.execs,
 		OracleChecks:    f.oracleChecks,
 		ReproCount:      f.reproPrior + len(f.repros),
 		Stage2Campaigns: f.stage2Campaigns,
 		Stage2Execs:     f.stage2Execs,
-		Pos:             f.savedPos,
+		WarmNext:        f.warmNext,
+		WarmEnd:         f.warmEnd,
 		Series:          f.series,
 		Faults:          f.faults,
 		BranchVirgin:    f.branchVirgin.Bytes(),
@@ -112,7 +118,7 @@ func (f *Fuzzer) SaveCheckpoint() ([]byte, error) {
 		Entries:         f.queue.Entries(),
 		QueueCursor:     f.queue.Cursor(),
 		QueueDraws:      f.queue.RNGDraws(),
-		MutDraws:        f.mut.RNGDraws(),
+		MutDraws:        f.lead.mut.RNGDraws(),
 		StoreStats:      f.store.Stats(),
 	}
 	if f.recVirgin != nil {
@@ -133,8 +139,8 @@ func (f *Fuzzer) SaveCheckpoint() ([]byte, error) {
 		}
 		st.Blobs = append(st.Blobs, ckptBlob{ID: id.Hex(), Blob: blob})
 	}
-	for _, id := range f.store.CacheLRU() {
-		st.CacheLRU = append(st.CacheLRU, id.Hex())
+	for _, id := range f.lead.cache.LRU() {
+		st.CacheOrder = append(st.CacheOrder, id.Hex())
 	}
 	if f.promoter != nil {
 		p := &ckptPromoter{Promoted: f.promoter.promoted}
@@ -223,16 +229,18 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 		pending = next
 	}
 	var lru []imgstore.ID
-	for _, h := range st.CacheLRU {
+	for _, h := range st.CacheOrder {
 		id, err := imgstore.ParseID(h)
 		if err != nil {
 			return err
 		}
 		lru = append(lru, id)
 	}
-	if err := f.store.WarmCache(lru); err != nil {
+	lead := newWorkerState(f, 0)
+	if err := lead.cache.Warm(lru); err != nil {
 		return fmt.Errorf("core: restore cache: %w", err)
 	}
+	lead.mut.RestoreRNG(st.MutDraws)
 	f.store.SetStats(st.StoreStats)
 
 	// Queue: rebuild in ID order over a fresh scheduler, then land the
@@ -247,10 +255,12 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 		}
 		q.Add(e)
 	}
+	if st.WarmNext < 0 || st.WarmNext > st.WarmEnd || st.WarmEnd > q.Len() {
+		return fmt.Errorf("core: checkpoint warm-up position %d of %d outside the queue", st.WarmNext, st.WarmEnd)
+	}
 	q.SetCursor(st.QueueCursor)
 	q.RestoreRNG(st.QueueDraws)
 	f.queue = q
-	f.mut.RestoreRNG(st.MutDraws)
 
 	f.branchVirgin.SetBytes(st.BranchVirgin)
 	f.pmVirgin.SetBytes(st.PMVirgin)
@@ -275,7 +285,6 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 	f.reproPrior = st.ReproCount
 	f.stage2Campaigns = st.Stage2Campaigns
 	f.stage2Execs = st.Stage2Execs
-	f.clockBase = st.ClockBase
 	f.clock.Restore(st.ClockNS)
 
 	if f.promoter != nil && st.Promoter != nil {
@@ -304,8 +313,8 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 		}
 	}
 
-	pos := st.Pos
-	f.resumePos = &pos
+	f.warmNext, f.warmEnd = st.WarmNext, st.WarmEnd
+	f.lead = lead
 	f.resumed = true
 	return nil
 }

@@ -81,7 +81,7 @@ func checkpointAt(t *testing.T, cfg Config, b1, b2 int64) ([]byte, *Result) {
 // checkpoint at a mid-run budget, resume to the full budget, and the
 // concatenated JSONL traces must be byte-identical to the uninterrupted
 // session's. Three checkpoint budgets land in different loop phases
-// (seed warm-up, mid-energy, and a later round).
+// (mid warm-up, the end of warm-up, and a later round).
 func TestCheckpointResumeTraceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checkpoint golden replay in -short mode")

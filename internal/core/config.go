@@ -119,13 +119,13 @@ type Config struct {
 	// InvariantMaxChecks caps invariant sweeps per session (0 = default
 	// cap).
 	InvariantMaxChecks int
-	// Workers is the number of parallel fuzzing workers — the in-process
-	// analog of the master/slave AFL fleet the paper runs (§5.1). Each
+	// Workers is the number of fuzzing workers — the in-process analog
+	// of the master/secondary AFL fleet the paper runs (§5.1). Each
 	// worker owns a private coverage shard, mutator, image cache, and
 	// simulated clock; a coordinator merges their results. 0 selects
-	// runtime.GOMAXPROCS(0). Workers=1 reproduces the single-threaded
-	// trajectory bit-for-bit, and any fixed (Seed, Workers) pair replays
-	// identically.
+	// runtime.GOMAXPROCS(0); Workers=1 is a fleet of one, running the
+	// same coordinator and worker code. Any fixed (Seed, Workers) pair
+	// replays identically.
 	Workers int
 
 	// The two-stage pipeline (the original tool's
@@ -138,8 +138,9 @@ type Config struct {
 	// Stage1Workers is stage 1's core budget (0 = Workers).
 	// Stage2Workers is each sub-campaign's core budget; > 0 enables the
 	// pipeline, 0 (the default) disables stage 2 entirely and reproduces
-	// the single-loop engine's trajectory byte-for-byte. With stage 2
-	// on, a session is deterministic per
+	// the single-stage trajectory byte-for-byte. Each sub-campaign runs
+	// on the same lease engine as stage 1, whatever its worker count.
+	// With stage 2 on, a session is deterministic per
 	// (Seed, Workers, Stage1Workers, Stage2Workers, Stage2BudgetNS).
 	Stage1Workers int
 	Stage2Workers int

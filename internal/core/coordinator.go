@@ -1,6 +1,6 @@
 package core
 
-// The parallel engine's coordinator side: the single goroutine that owns
+// The fuzzing engine's coordinator side: the single goroutine that owns
 // the queue, the image store's growth, the authoritative virgin pair,
 // the PM-path signature set, and the fault buckets. Execution fans out
 // to workers in rounds — every active worker gets one batch lease, the
@@ -19,13 +19,29 @@ import (
 	"pmfuzz/internal/obs"
 )
 
-// runParallel executes the fuzzing session as a coordinator plus n
-// worker goroutines.
-func (f *Fuzzer) runParallel(n int) *Result {
+// runFleet executes the fuzzing session as a coordinator plus n worker
+// goroutines. Each round leases every active worker one batch — a seed
+// warm-up run while warm-up seeds remain, then a scheduled parent's
+// children — and merges all batches in worker-ID order. A worker leaves
+// the fleet when its clock shard exhausts the budget.
+func (f *Fuzzer) runFleet(n int) *Result {
 	ws := make([]*worker, n)
 	for i := range ws {
 		ws[i] = newWorker(f, i)
-		go ws[i].run()
+	}
+	if f.lead != nil {
+		// A resumed session's worker 0 continues the checkpointed mutator
+		// stream and image cache.
+		ws[0].mut, ws[0].cache = f.lead.mut, f.lead.cache
+		ws[0].cache.SetShard(ws[0].shard)
+		f.lead = nil
+	}
+	if f.ckptNS > 0 {
+		// Keep only what SaveCheckpoint reads of worker 0.
+		f.lead = &worker{mut: ws[0].mut, cache: ws[0].cache}
+	}
+	for _, w := range ws {
+		go w.run()
 	}
 	defer func() {
 		for _, w := range ws {
@@ -33,39 +49,16 @@ func (f *Fuzzer) runParallel(n int) *Result {
 		}
 	}()
 
-	// A stage-2 campaign's time axis starts at the campaign base, not
-	// zero; worker clock shards are charged the same offset at birth.
-	maxClock := f.clockBase
-	sampleBucket := 0
+	// Warm-up executes every seed present at the first run once (Figure
+	// 11 step ①); entries admitted meanwhile are not warm-up seeds.
+	if !f.resumed {
+		f.warmNext, f.warmEnd = 0, f.queue.Len()
+	}
+	sampleBucket := f.execs / max(1, f.cfg.SampleEveryExecs)
 	active := make([]bool, n)
 	for i := range active {
-		active[i] = true
+		active[i] = f.clock.Now() < f.cfg.BudgetNS
 	}
-
-	// Warm-up: execute every seed once (Figure 11 step ①), distributed
-	// round-robin, one seed per worker per round.
-	seeds := append([]*fuzz.Entry(nil), f.queue.Entries()...)
-	for start := 0; start < len(seeds); start += n {
-		leased := 0
-		for i := 0; i < n && start+i < len(seeds); i++ {
-			ws[i].leases <- workItem{
-				lease:   &fuzz.Lease{Parent: seeds[start+i], Energy: 1, Splices: make([][]byte, 1)},
-				seedRun: true,
-			}
-			leased++
-		}
-		for i := 0; i < leased; i++ {
-			b := <-ws[i].results
-			f.collectBatch(ws[i], b, &maxClock, &sampleBucket)
-			if b.done {
-				active[i] = false
-			}
-		}
-	}
-
-	// Main rounds: lease every active worker one batch, then merge all
-	// results in worker-ID order. A worker leaves the fleet when its
-	// clock shard exhausts the budget.
 	for {
 		if f.syncHook != nil {
 			// Campaign sync pump: between rounds every worker is parked,
@@ -73,48 +66,54 @@ func (f *Fuzzer) runParallel(n int) *Result {
 			// into — the same exclusive-access window MergeFrom uses.
 			f.syncHook()
 		}
-		var ids []int
-		for i, a := range active {
-			if a {
-				ids = append(ids, i)
-			}
-		}
-		if len(ids) == 0 {
+		if f.ckptNS > 0 && f.clock.Now() >= f.ckptNS {
 			break
 		}
-		for _, i := range ids {
+		var ids []int
+		for i, a := range active {
+			if !a {
+				continue
+			}
 			// The worker is parked between its last result hand-off and
 			// this lease, so refreshing its private virgins from the
 			// authoritative pair is exclusive access (see
 			// instr.Virgin.MergeFrom).
 			ws[i].branchVirgin.MergeFrom(f.branchVirgin)
 			ws[i].pmVirgin.MergeFrom(f.pmVirgin)
-			l := f.queue.Lease(energyBase)
-			if l == nil {
+			item := workItem{execs: f.execs}
+			if f.warmNext < f.warmEnd {
+				item.lease, item.seedRun = &fuzz.Lease{Parent: f.queue.Get(f.warmNext)}, true
+				f.warmNext++
+			} else if item.lease = f.queue.Lease(energyBase); item.lease == nil {
 				active[i] = false
 				continue
 			}
-			ws[i].leases <- workItem{lease: l}
+			ws[i].leases <- item
+			ids = append(ids, i)
+		}
+		if len(ids) == 0 {
+			break
 		}
 		for _, i := range ids {
-			if !active[i] {
-				continue
-			}
 			b := <-ws[i].results
-			f.collectBatch(ws[i], b, &maxClock, &sampleBucket)
+			f.collectBatch(ws[i], b, &sampleBucket)
 			if b.done {
 				active[i] = false
 			}
 		}
 	}
 
-	f.sampleAt(maxClock, true)
+	if f.ckptNS == 0 {
+		// A checkpoint has no sample at its boundary: the uninterrupted
+		// session has none there, and the resumed run emits the final one.
+		f.sample(true)
+	}
 	return &Result{
 		Config:  f.cfg,
 		Series:  f.series,
 		Faults:  f.faults,
 		Execs:   f.execs,
-		SimNS:   maxClock,
+		SimNS:   f.clock.Now(),
 		PMPaths: len(f.pmPathSigs),
 		Queue:   f.queue,
 		Store:   f.store,
@@ -127,14 +126,15 @@ func (f *Fuzzer) runParallel(n int) *Result {
 	}
 }
 
-// collectBatch wraps mergeBatch with telemetry: the worker's metrics
-// shard is folded into the registry (the worker is parked between its
-// result hand-off and its next lease, so this is the same
-// exclusive-access window Virgin.MergeFrom uses), a round event marks
-// the batch boundary in the trace, and the merge itself is timed.
+// collectBatch wraps mergeBatch with telemetry and buffer reuse: the
+// worker's metrics shard is folded into the registry (the worker is
+// parked between its result hand-off and its next lease, so this is the
+// same exclusive-access window Virgin.MergeFrom uses), a round event
+// marks the batch boundary in the trace, the merge itself is timed, and
+// the batch's buffers go back to the worker's arena.
 // Events emitted during the merge are attributed to the batch's worker
-// (1-based; 0 is the coordinator/serial engine).
-func (f *Fuzzer) collectBatch(w *worker, b *workerBatch, maxClock *int64, sampleBucket *int) {
+// (1-based; 0 is the coordinator).
+func (f *Fuzzer) collectBatch(w *worker, b *workerBatch, sampleBucket *int) {
 	if f.tele != nil {
 		f.tele.M.MergeShard(w.shard)
 		f.obsWorker = w.id + 1
@@ -144,26 +144,27 @@ func (f *Fuzzer) collectBatch(w *worker, b *workerBatch, maxClock *int64, sample
 		})
 	}
 	t0 := f.shard.Begin()
-	f.mergeBatch(b, maxClock, sampleBucket)
+	f.mergeBatch(b, sampleBucket)
 	f.shard.End(obs.StageMerge, t0)
 	f.obsWorker = 0
+	w.reclaim(b)
 }
 
 // mergeBatch folds one worker batch into the authoritative session
-// state, in outcome order. It is the parallel counterpart of the serial
-// observe(): the worker already pre-filtered against its private
+// state, in outcome order, and advances the merged clock to the
+// worker's. The worker already pre-filtered against its private
 // virgins, so shipped maps are re-merged here against the fleet-wide
 // pair, which makes the final admission and Favored decisions.
-func (f *Fuzzer) mergeBatch(b *workerBatch, maxClock *int64, sampleBucket *int) {
-	if b.clockNS > *maxClock {
-		*maxClock = b.clockNS
+func (f *Fuzzer) mergeBatch(b *workerBatch, sampleBucket *int) {
+	if d := b.clockNS - f.clock.Now(); d > 0 {
+		f.clock.Charge(d)
 	}
 	for _, o := range b.outcomes {
 		f.execs += o.execs
 		var newBranchSlot, newBranchBucket, newPMSlot, newPMBucket bool
-		if o.branch != nil {
-			newBranchSlot, newBranchBucket = f.branchVirgin.Merge(o.branch)
-			newPMSlot, newPMBucket = f.pmVirgin.Merge(o.pm)
+		if o.tracer != nil {
+			newBranchSlot, newBranchBucket = f.branchVirgin.Merge(o.tracer.BranchMap())
+			newPMSlot, newPMBucket = f.pmVirgin.Merge(o.tracer.PMMap())
 		}
 		if o.hasPMSig {
 			f.pmPathSigs[o.pmSig] = struct{}{}
@@ -184,7 +185,7 @@ func (f *Fuzzer) mergeBatch(b *workerBatch, maxClock *int64, sampleBucket *int) 
 		interval := max(1, f.cfg.SampleEveryExecs)
 		if f.execs/interval != *sampleBucket {
 			*sampleBucket = f.execs / interval
-			f.sampleAt(*maxClock, false)
+			f.sample(false)
 		}
 	}
 }

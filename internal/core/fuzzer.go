@@ -91,8 +91,9 @@ type Fuzzer struct {
 	cfg   Config
 	bugs  *bugs.Set
 	queue *fuzz.Queue
-	mut   *fuzz.Mutator
 	store *imgstore.Store
+	// clock is the session's merged time axis: the maximum over the
+	// worker clock shards, advanced as their batches merge.
 	clock *pmem.Clock
 
 	branchVirgin *instr.Virgin
@@ -109,15 +110,14 @@ type Fuzzer struct {
 	faults    []Fault
 	faultMsgs map[string]bool
 
-	// arena is the serial loop's execution reuse handle (persistent-mode
-	// analog): one resident device plus pooled tracers and snapshot
-	// buffers shared by every execution. Workers get their own.
+	// arena is the coordinator's execution reuse handle (persistent-mode
+	// analog), used by stage 2's recovery runs. Workers get their own.
 	arena *executor.Arena
 
 	// oracleCk is the differential crash-consistency checker (nil unless
 	// Config.OracleCheck). It owns private arenas and runs off the
 	// simulated clock, so its replays never perturb the trajectory. Used
-	// only from the serial loop / coordinator goroutine.
+	// only from the coordinator goroutine.
 	oracleCk     *oracle.Checker
 	oracleChecks int
 	repros       []*oracle.Bundle
@@ -136,28 +136,25 @@ type Fuzzer struct {
 	invStats  invStats
 
 	// tele is the attached telemetry session (nil when disabled); shard
-	// is the serial loop's / coordinator's private metrics shard, merged
-	// into tele.M at sample boundaries. Workers carry their own shards.
-	// Telemetry is strictly read-only: with tele nil or attached, the
-	// session's trajectory, image hashes, and faults are bit-identical.
+	// is the coordinator's private metrics shard, merged into tele.M at
+	// sample boundaries. Workers carry their own shards. Telemetry is
+	// strictly read-only: with tele nil or attached, the session's
+	// trajectory, image hashes, and faults are bit-identical.
 	tele  *obs.Session
 	shard *obs.Shard
 	// obsWorker attributes trace events to their producing worker: 0 for
-	// the serial loop and the coordinator, i+1 while worker i's batch is
-	// being merged.
+	// the coordinator, i+1 while worker i's batch is being merged.
 	obsWorker int
 
 	// Two-stage pipeline state. stage is 1 for the session fuzzer and 2
 	// inside a sub-campaign (where iter/campaign identify the promotion
-	// round and campaign ordinal); clockBase offsets worker clock shards
-	// so campaigns continue the session time axis; promoter collects
-	// stage-2 candidates (nil with stage 2 off — stage 1 then schedules
-	// crash images inline exactly as before); recVirgin accumulates
-	// recovery-phase PM coverage (nil unless Config.TrackRecovery).
+	// round and campaign ordinal); promoter collects stage-2 candidates
+	// (nil with stage 2 off — stage 1 then schedules crash images inline
+	// exactly as before); recVirgin accumulates recovery-phase PM
+	// coverage (nil unless Config.TrackRecovery).
 	stage     int
 	iter      int
 	campaign  int
-	clockBase int64
 	promoter  *promoter
 	recVirgin *instr.Virgin
 	// stage2Campaigns/stage2Execs mirror the Result fields during the
@@ -165,46 +162,32 @@ type Fuzzer struct {
 	stage2Campaigns int
 	stage2Execs     int
 
-	// syncHook, when set, is called between parent selections (serial
-	// loop) and between rounds (coordinator) — the only points where the
-	// campaign sync layer may graft foreign corpus entries into the
-	// session. Nil (the default) leaves the trajectory untouched.
+	// syncHook, when set, is called between coordinator rounds — the
+	// only points where the campaign sync layer may graft foreign corpus
+	// entries into the session. Nil (the default) leaves the trajectory
+	// untouched.
 	syncHook func()
 
-	// Checkpoint/resume state. ckptMode suppresses end-of-session
-	// finalization (forced sample, end event, stage 2) so the session
-	// can be frozen at its budget boundary; resumed suppresses
-	// start-of-session events so a resumed trace continues the
-	// checkpointed one seamlessly. resumePos is the loop position to
-	// continue from; savedPos is where the last run stopped. reproPrior
-	// counts repro bundles minimized before a checkpoint, keeping the
-	// bundle cap's gating identical across a resume (the bundles
-	// themselves are not serialized).
-	ckptMode   bool
+	// Checkpoint/resume state. ckptNS, when positive, is the checkpoint
+	// instant: leasing stops at the first round boundary where the
+	// merged clock has reached it, and end-of-session finalization
+	// (forced sample, end event, stage 2) is left to the resumed run.
+	// resumed suppresses start-of-session events so a resumed trace
+	// continues the checkpointed one seamlessly. reproPrior counts repro
+	// bundles minimized before a checkpoint, keeping the bundle cap's
+	// gating identical across a resume (the bundles themselves are not
+	// serialized).
+	ckptNS     int64
 	resumed    bool
-	resumePos  *loopPos
-	savedPos   loopPos
 	reproPrior int
-	// stopNS is where the serial loop stops scheduling work: the budget
-	// normally, the checkpoint instant in checkpoint mode. Only the loop
-	// exit checks use it — in-execution budget gates (harvest sweeps,
-	// probabilistic failure runs) always compare against the full
-	// BudgetNS, so a checkpointed prefix behaves exactly like the same
-	// span of the uninterrupted session.
-	stopNS int64
-}
-
-// loopPos pins the serial loop's exact position at a budget boundary so
-// a resumed session continues mid-stride: still in seed warm-up (next
-// index within the warm-up snapshot), or mid-way through a scheduled
-// parent's energy (next child index).
-type loopPos struct {
-	Warmup   bool `json:"warmup,omitempty"`
-	WarmIdx  int  `json:"warm_idx,omitempty"`
-	WarmLen  int  `json:"warm_len,omitempty"`
-	CurID    int  `json:"cur_id"`
-	ChildIdx int  `json:"child_idx,omitempty"`
-	Energy   int  `json:"energy,omitempty"`
+	// warmNext is the queue index of the next seed warm-up run; the
+	// warm-up covers the entries [0, warmEnd) present when the session
+	// first ran.
+	warmNext, warmEnd int
+	// lead holds worker 0's mutator and image cache: a checkpoint-mode
+	// run keeps them for SaveCheckpoint, and RestoreCheckpoint sets them
+	// so the resumed run's worker 0 continues them.
+	lead *worker
 }
 
 // SetSyncHook registers the campaign sync layer's pump (nil detaches).
@@ -238,7 +221,6 @@ func New(cfg Config, bugSet *bugs.Set) (*Fuzzer, error) {
 		cfg:          cfg,
 		bugs:         bugSet,
 		queue:        fuzz.NewQueue(cfg.Seed + 1),
-		mut:          fuzz.NewMutator(cfg.Seed+2, dict),
 		store:        imgstore.New(cacheCap),
 		clock:        pmem.NewClock(),
 		branchVirgin: instr.NewVirgin(),
@@ -248,7 +230,6 @@ func New(cfg Config, bugSet *bugs.Set) (*Fuzzer, error) {
 		faultMsgs:    map[string]bool{},
 		pmPathSigs:   map[uint64]struct{}{},
 		arena:        executor.NewArena(),
-		stopNS:       cfg.BudgetNS,
 	}
 	if cfg.OracleCheck {
 		f.oracleCk = oracle.NewChecker()
@@ -541,14 +522,12 @@ func (f *Fuzzer) CorpusEntries() []*fuzz.Entry { return f.queue.Entries() }
 // — so an imported corpus can be re-exported without running a session.
 func (f *Fuzzer) CorpusQueue() *fuzz.Queue { return f.queue }
 
-// Run executes the fuzzing loop until the simulated budget is exhausted
-// and returns the session result. With Config.Workers > 1 (or 0, which
-// selects runtime.GOMAXPROCS(0)) the session runs as a parallel fleet:
-// worker goroutines execute batch leases against private coverage
-// shards while a coordinator merges bitmaps, deduplicates PM-path
-// signatures and faults, and grows the corpus. Workers=1 runs the
-// original single-threaded loop and reproduces its trajectory
-// bit-for-bit.
+// Run executes the fuzzing session until the simulated budget is
+// exhausted and returns the session result. The session runs as a fleet
+// of Config.Workers workers (0 selects runtime.GOMAXPROCS(0); one worker
+// is a fleet of one): worker goroutines execute batch leases against
+// private coverage shards while a coordinator merges bitmaps,
+// deduplicates PM-path signatures and faults, and grows the corpus.
 func (f *Fuzzer) Run() *Result {
 	workers := f.cfg.stage1Workers()
 	if workers <= 0 {
@@ -567,16 +546,11 @@ func (f *Fuzzer) Run() *Result {
 			Stage: 1, Root: -1, Workers: workers, BudgetNS: f.cfg.BudgetNS,
 		})
 	}
-	var res *Result
-	if workers == 1 {
-		res = f.runSerial()
-	} else {
-		res = f.runParallel(workers)
-	}
-	// In checkpoint mode the session freezes at the stage-1 budget
+	res := f.runFleet(workers)
+	// In checkpoint mode the session freezes at a stage-1 round
 	// boundary: stage 2 and the trace footer belong to the resumed run
 	// that eventually finishes.
-	if twoStage && !f.ckptMode {
+	if twoStage && f.ckptNS == 0 {
 		f.obsStageExit(obs.StageExitEvent{
 			SimNS: res.SimNS, Stage: 1, Execs: res.Execs, PMPaths: res.PMPaths,
 			RecoverySites: f.recoverySites(),
@@ -587,7 +561,7 @@ func (f *Fuzzer) Run() *Result {
 		res.Recovery = f.recVirgin
 		res.RecoverySites = f.recVirgin.CoveredStates()
 	}
-	if f.stage != 2 && !f.ckptMode {
+	if f.stage != 2 && f.ckptNS == 0 {
 		f.obsFinish(res)
 	}
 	return res
@@ -600,269 +574,6 @@ func (f *Fuzzer) recoverySites() int {
 		return 0
 	}
 	return f.recVirgin.CoveredStates()
-}
-
-// runSerial is the single-threaded fuzzing loop. It is kept
-// semantically verbatim as the Workers=1 path so the paper-replay
-// trajectories (and their golden tests) are untouched by the parallel
-// engine; every exit records the exact loop position so a checkpointed
-// session resumes mid-stride.
-func (f *Fuzzer) runSerial() *Result {
-	pos := f.resumePos
-	f.resumePos = nil
-	// Warm-up: execute every seed once to initialize coverage and (for
-	// PMFuzz) generate the first images — Figure 11 step ①. The snapshot
-	// length is fixed at loop entry (entries admitted during warm-up are
-	// not warm-up seeds); a resumed session replays the recorded
-	// snapshot bounds.
-	if pos == nil || pos.Warmup {
-		ents := f.queue.Entries()
-		warmLen, wi := len(ents), 0
-		if pos != nil {
-			warmLen, wi = pos.WarmLen, pos.WarmIdx
-		}
-		for ; wi < warmLen; wi++ {
-			if f.clock.Now() >= f.stopNS {
-				return f.serialExit(loopPos{Warmup: true, WarmIdx: wi, WarmLen: warmLen, CurID: -1})
-			}
-			f.runCase(ents[wi], ents[wi].Input, true)
-		}
-	}
-	// A checkpoint taken mid-energy finishes the interrupted parent's
-	// remaining children before any new scheduling decision.
-	if pos != nil && !pos.Warmup && pos.CurID >= 0 {
-		if e := f.queue.Get(pos.CurID); e != nil {
-			for i := pos.ChildIdx; i < pos.Energy; i++ {
-				if f.clock.Now() >= f.stopNS {
-					return f.serialExit(loopPos{CurID: e.ID, ChildIdx: i, Energy: pos.Energy})
-				}
-				input, image := f.deriveChild(e)
-				f.runMutated(e, input, image)
-			}
-		}
-	}
-	for {
-		if f.syncHook != nil {
-			f.syncHook()
-		}
-		if f.clock.Now() >= f.stopNS {
-			return f.serialExit(loopPos{CurID: -1})
-		}
-		e := f.queue.Next()
-		if e == nil {
-			return f.serialExit(loopPos{CurID: -1})
-		}
-		if f.shard != nil {
-			f.shard.Rounds++ // a serial "round" is one parent selection
-		}
-		energy := energyBase << uint(e.Favored) // 4 / 8 / 16 children
-		for i := 0; i < energy; i++ {
-			if f.clock.Now() >= f.stopNS {
-				return f.serialExit(loopPos{CurID: e.ID, ChildIdx: i, Energy: energy})
-			}
-			input, image := f.deriveChild(e)
-			f.runMutated(e, input, image)
-		}
-	}
-}
-
-// serialExit finalizes one serial run segment, pinning the loop
-// position for SaveCheckpoint. The forced sample is skipped in
-// checkpoint mode — the uninterrupted session has no sample at the
-// checkpoint boundary, and the resumed run emits the real final one.
-func (f *Fuzzer) serialExit(pos loopPos) *Result {
-	f.savedPos = pos
-	if !f.ckptMode {
-		f.sample(true)
-	}
-	return &Result{
-		Config:  f.cfg,
-		Series:  f.series,
-		Faults:  f.faults,
-		Execs:   f.execs,
-		SimNS:   f.clock.Now(),
-		PMPaths: len(f.pmPathSigs),
-		Queue:   f.queue,
-		Store:   f.store,
-		Repros:  f.repros,
-
-		InvariantSet:        f.invSet,
-		InvariantChecks:     f.invStats.checks,
-		InvariantViolations: f.invStats.violations,
-		InvariantsDropped:   f.invStats.dropped,
-	}
-}
-
-// deriveChild produces a mutated (input, image) pair from a queue entry.
-// The image part is either inherited (indirect mutation happens through
-// execution) or byte-mutated (the ImgFuzzDirect comparison point).
-func (f *Fuzzer) deriveChild(e *fuzz.Entry) ([]byte, *imageRef) {
-	input := e.Input
-	if f.cfg.Features.InputFuzz {
-		t0 := f.shard.Begin()
-		if other := f.queue.Random(); other != nil && other.ID != e.ID && len(f.queue.Entries()) > 4 && f.mutCoin() {
-			input = f.mut.Splice(e.Input, other.Input)
-		} else {
-			input = f.mut.Havoc(e.Input)
-		}
-		f.shard.End(obs.StageMutate, t0)
-	}
-	img := f.resolveImage(e)
-	if f.cfg.Features.ImgFuzzDirect {
-		// Direct image mutation: corrupt the image payload, keep the
-		// fixed seed input.
-		input = f.seedInput
-		base := img
-		if base == nil || base.img == nil {
-			// Build the initial image by one clean seed run.
-			res := executor.Run(executor.TestCase{
-				Workload: f.cfg.Workload, Input: f.seedInput, Bugs: f.bugs, Seed: f.cfg.Seed,
-			}, executor.Options{Clock: f.clock, Arena: f.arena, Shard: f.shard})
-			if res.Image == nil {
-				f.arena.Recycle(res)
-				return input, nil
-			}
-			base = &imageRef{img: res.Image}
-			t0 := f.shard.Begin()
-			mutated := base.img.Clone()
-			mutated.Data = f.mut.MutateImage(mutated.Data)
-			f.shard.End(obs.StageMutate, t0)
-			f.arena.Recycle(res)
-			f.arena.RecycleImage(res.Image)
-			return input, &imageRef{img: mutated}
-		}
-		t0 := f.shard.Begin()
-		mutated := base.img.Clone()
-		mutated.Data = f.mut.MutateImage(mutated.Data)
-		f.shard.End(obs.StageMutate, t0)
-		return input, &imageRef{img: mutated}
-	}
-	return input, img
-}
-
-func (f *Fuzzer) mutCoin() bool { return f.execs%4 == 3 }
-
-// imageRef resolves a queue entry's image lazily.
-type imageRef struct {
-	img    *pmem.Image
-	cached bool
-}
-
-func (f *Fuzzer) resolveImage(e *fuzz.Entry) *imageRef {
-	if !e.HasImage {
-		return nil
-	}
-	cached := f.store.Cached(e.ImageID)
-	img, err := f.store.Get(e.ImageID, f.clock)
-	if err != nil {
-		return nil
-	}
-	return &imageRef{img: img, cached: cached && f.cfg.Features.SysOpt}
-}
-
-// runCase executes one seed entry as-is.
-func (f *Fuzzer) runCase(e *fuzz.Entry, input []byte, isSeed bool) {
-	f.runMutated(e, input, f.resolveImage(e))
-}
-
-// runMutated executes a candidate test case, applies the coverage
-// feedback, and grows the corpus.
-func (f *Fuzzer) runMutated(parent *fuzz.Entry, input []byte, img *imageRef) {
-	tc := executor.TestCase{
-		Workload: f.cfg.Workload,
-		Input:    input,
-		Bugs:     f.bugs,
-		Seed:     f.cfg.Seed,
-	}
-	var cached bool
-	if img != nil && img.img != nil {
-		tc.Image = img.img
-		cached = img.cached
-	}
-	res := executor.Run(tc, executor.Options{
-		Clock:       f.clock,
-		ImageCached: cached || (tc.Image == nil && f.cfg.Features.SysOpt),
-		MaxCommands: f.cfg.MaxCommands,
-		Arena:       f.arena,
-		Shard:       f.shard,
-		// Recovery accounting: executions that open a crash image record
-		// the PM sites their setup phase touched (a plain map copy — the
-		// trajectory is unchanged).
-		RecordSetupPM: f.recVirgin != nil && parent != nil && parent.IsCrashImage && tc.Image != nil,
-	})
-	f.execs++
-	f.observe(parent, tc, res)
-	// The serial loop fully consumes a result inside observe (maps merged,
-	// images serialized into the store), so its tracer and output-image
-	// buffer can be recycled for the next execution.
-	f.arena.Recycle(res)
-	f.arena.RecycleImage(res.Image)
-	if f.execs%max(1, f.cfg.SampleEveryExecs) == 0 {
-		f.sample(false)
-	}
-}
-
-// observe applies branch and PM-path feedback (Algorithm 2) and corpus
-// growth (Figure 11 steps ②–⑤).
-func (f *Fuzzer) observe(parent *fuzz.Entry, tc executor.TestCase, res *executor.Result) {
-	newBranchSlot, newBranchBucket := f.branchVirgin.Merge(res.Tracer.BranchMap())
-	newPMSlot, newPMBucket := f.pmVirgin.Merge(res.Tracer.PMMap())
-	if res.Tracer.PMOps() > 0 {
-		f.pmPathSigs[instr.Signature(res.Tracer.PMMap())] = struct{}{}
-	}
-	if res.SetupPM != nil && f.recVirgin != nil {
-		f.recVirgin.Merge(res.SetupPM)
-	}
-
-	if res.Faulted() {
-		f.recordFault(parent, tc, res)
-		return
-	}
-
-	// Algorithm 2: Favored from the PM counter-map.
-	favored := f.favoredLevel(newPMSlot, newPMBucket)
-	newBranch := newBranchSlot || newBranchBucket
-	interesting := newBranch || favored > fuzz.FavoredLow
-	if !interesting {
-		return
-	}
-
-	parentID := -1
-	depth := 0
-	if parent != nil {
-		parentID = parent.ID
-		depth = parent.Depth
-	}
-	e := &fuzz.Entry{
-		Input:      append([]byte(nil), tc.Input...),
-		ParentID:   parentID,
-		Depth:      depth,
-		Favored:    favored,
-		NewBranch:  newBranch,
-		NewPM:      newPMSlot || newPMBucket,
-		FoundSimNS: f.clock.Now(),
-	}
-	if tc.Image != nil {
-		// Keep fuzzing on the same parent image.
-		id, _, err := f.store.Put(tc.Image)
-		if err == nil {
-			e.ImageID = id
-			e.HasImage = true
-		}
-	}
-	f.queue.Add(e)
-	f.obsAdmit(e)
-
-	// Image generation is driven by new PM paths only (Figure 11 step ②:
-	// "upon observing a new PM path, it saves this test case for further
-	// PM image generation").
-	if f.cfg.Features.ImgFuzzIndirect && res.Image != nil && e.NewPM {
-		f.harvestImages(e, tc, res)
-	}
-	if e.NewPM {
-		f.oracleScan(e, tc.Input, tc.Image, f.clock.Now())
-		f.invariantScan(e, tc.Input, tc.Image, f.clock.Now())
-	}
 }
 
 // maxRepros caps the minimized repro bundles retained per session.
@@ -1065,65 +776,6 @@ func (f *Fuzzer) favoredLevel(newPMSlot, newPMBucket bool) int {
 	return fuzz.FavoredLow
 }
 
-// harvestImages stores the normal output image and sweeps failure
-// injection for crash images (Figure 11 steps ③–④), deduplicating by
-// content hash (§4.5's image reduction) and enqueueing new images as
-// future parents (step ⑤).
-//
-// The barrier leg is single-pass: ONE journaled re-execution
-// (executor.SweepRun) records a copy-on-write delta per ordering point,
-// and the sampled crash states materialize lazily from that journal —
-// the old path re-ran the whole input once per sampled barrier.
-// Probabilistic placements land between ordering points, so they are
-// genuinely re-executed. Crash images are stored delta-encoded against
-// the run's output image, with which they share most of their lines.
-func (f *Fuzzer) harvestImages(parent *fuzz.Entry, tc executor.TestCase, res *executor.Result) {
-	outID, _ := f.addImageEntry(parent, tc.Input, res.Image, false, f.clock.Now())
-
-	if f.cfg.MaxBarrierImages <= 0 {
-		return
-	}
-	// Sample failure points across the whole execution rather than only
-	// its head: ordering points bracket every commit-variable update
-	// (§3.2), and the interesting recovery states come from crashes at
-	// different phases of the run.
-	if f.clock.Now() < f.cfg.BudgetNS {
-		sw := executor.SweepRun(tc, executor.Options{Clock: f.clock, MaxCommands: f.cfg.MaxCommands, Arena: f.arena, Shard: f.shard})
-		f.execs++
-		sw.EnableIncrementalHash()
-		n := f.cfg.MaxBarrierImages
-		if n > sw.Barriers() {
-			n = sw.Barriers()
-		}
-		for i := 1; i <= n && f.clock.Now() < f.cfg.BudgetNS; i++ {
-			b := i * sw.Barriers() / n
-			if b < 1 {
-				b = 1
-			}
-			if crash := sw.Crash(b); crash != nil && crash.Image != nil {
-				f.addImageEntryDelta(parent, tc.Input, crash.Image, true, executor.CrashClassKey(crash), f.clock.Now(), outID, res.Image)
-				// Materialized images are serialized immediately; their
-				// buffers feed the next snapshots. (Their shared empty
-				// tracer is deliberately NOT recycled.)
-				f.arena.RecycleImage(crash.Image)
-			}
-		}
-		f.arena.Recycle(sw.Clean)
-		f.arena.RecycleImage(sw.Clean.Image)
-	}
-	for s := 0; s < f.cfg.ProbFailSeeds && f.cfg.ProbFailRate > 0 && f.clock.Now() < f.cfg.BudgetNS; s++ {
-		tcp := tc
-		tcp.Injector = pmem.NewProbabilisticFailure(f.cfg.Seed+int64(f.execs)*131, f.cfg.ProbFailRate)
-		crash := executor.Run(tcp, executor.Options{Clock: f.clock, MaxCommands: f.cfg.MaxCommands, Arena: f.arena, Shard: f.shard})
-		f.execs++
-		if crash.Crashed && crash.Image != nil {
-			f.addImageEntryDelta(parent, tc.Input, crash.Image, true, executor.CrashClassKey(crash), f.clock.Now(), outID, res.Image)
-		}
-		f.arena.Recycle(crash)
-		f.arena.RecycleImage(crash.Image)
-	}
-}
-
 // addImageEntry enqueues a freshly generated image (normal or crash) as
 // a new parent at the given discovery time, returning the image's store
 // ID (valid even for deduplicated images, so it can serve as a delta
@@ -1179,18 +831,8 @@ func (f *Fuzzer) addImageEntryDelta(parent *fuzz.Entry, input []byte, img *pmem.
 	return id, true
 }
 
-func (f *Fuzzer) recordFault(parent *fuzz.Entry, tc executor.TestCase, res *executor.Result) {
-	msg := ""
-	if res.Panicked {
-		msg = fmt.Sprintf("panic: %v", res.PanicVal)
-	} else if res.Err != nil {
-		msg = res.Err.Error()
-	}
-	f.addFault(parent, tc.Input, msg, f.clock.Now())
-}
-
 // addFault records a fault at the given detection time, deduplicating by
-// message (the crash bucket key shared by both engines).
+// message (the crash bucket key).
 func (f *Fuzzer) addFault(parent *fuzz.Entry, input []byte, msg string, simNS int64) {
 	if msg == "" || f.faultMsgs[msg] {
 		return
@@ -1210,14 +852,9 @@ func (f *Fuzzer) addFault(parent *fuzz.Entry, input []byte, msg string, simNS in
 	f.obsFault(fault)
 }
 
+// sample appends a coverage sample at the merged clock's current time.
 func (f *Fuzzer) sample(force bool) {
-	f.sampleAt(f.clock.Now(), force)
-}
-
-// sampleAt appends a coverage sample at an explicit point on the time
-// axis — the shared clock for the serial engine, the max over worker
-// clock shards for the fleet.
-func (f *Fuzzer) sampleAt(simNS int64, force bool) {
+	simNS := f.clock.Now()
 	f.pushObs(simNS)
 	s := Sample{
 		SimNS:     simNS,

@@ -4,49 +4,57 @@ import (
 	"strings"
 	"testing"
 
+	"pmfuzz/internal/executor"
+	"pmfuzz/internal/imgstore"
 	"pmfuzz/internal/workloads/bugs"
 )
 
 // goldenBtreeSeries is the full coverage time series of the reference
-// serial session (btree, PMFuzzAll, 120 simulated ms, seed 42), captured
-// from the single-pass crash-image sweep engine. The Workers=1 path must
-// reproduce it bit-for-bit: the parallel refactor is required to leave
-// the paper's single-instance trajectories untouched, and PM site IDs
-// are derived from source locations precisely so this table survives
-// unrelated code changes elsewhere in the binary.
+// Workers=1 session (btree, PMFuzzAll, 120 simulated ms, seed 42),
+// captured when Workers=1 moved onto the lease engine (DESIGN.md records
+// the old and new numbers). Samples carry the merged clock after the
+// batch that crossed their interval, so one long lease can stamp two
+// samples alike. PM site IDs are derived from source locations
+// precisely so this table survives unrelated code changes elsewhere in
+// the binary.
 var goldenBtreeSeries = []Sample{
-	{SimNS: 10950385, Execs: 60, PMPaths: 19, BranchCov: 45, QueueLen: 68, Images: 46},
-	{SimNS: 14235256, Execs: 80, PMPaths: 25, BranchCov: 49, QueueLen: 80, Images: 54},
-	{SimNS: 17463239, Execs: 100, PMPaths: 32, BranchCov: 53, QueueLen: 91, Images: 62},
-	{SimNS: 21114604, Execs: 120, PMPaths: 42, BranchCov: 59, QueueLen: 117, Images: 82},
-	{SimNS: 24491125, Execs: 140, PMPaths: 49, BranchCov: 60, QueueLen: 133, Images: 95},
-	{SimNS: 32079283, Execs: 180, PMPaths: 65, BranchCov: 67, QueueLen: 191, Images: 143},
-	{SimNS: 35241885, Execs: 200, PMPaths: 77, BranchCov: 69, QueueLen: 194, Images: 144},
-	{SimNS: 38467932, Execs: 220, PMPaths: 89, BranchCov: 72, QueueLen: 200, Images: 147},
-	{SimNS: 41873179, Execs: 240, PMPaths: 96, BranchCov: 74, QueueLen: 211, Images: 156},
-	{SimNS: 45100484, Execs: 260, PMPaths: 104, BranchCov: 74, QueueLen: 214, Images: 158},
-	{SimNS: 48392450, Execs: 280, PMPaths: 113, BranchCov: 76, QueueLen: 226, Images: 167},
-	{SimNS: 51505851, Execs: 300, PMPaths: 122, BranchCov: 76, QueueLen: 226, Images: 167},
-	{SimNS: 54589998, Execs: 320, PMPaths: 125, BranchCov: 76, QueueLen: 226, Images: 167},
-	{SimNS: 57887498, Execs: 340, PMPaths: 128, BranchCov: 76, QueueLen: 226, Images: 167},
-	{SimNS: 61289519, Execs: 360, PMPaths: 138, BranchCov: 78, QueueLen: 231, Images: 170},
-	{SimNS: 64536471, Execs: 380, PMPaths: 149, BranchCov: 78, QueueLen: 237, Images: 175},
-	{SimNS: 67910288, Execs: 400, PMPaths: 159, BranchCov: 79, QueueLen: 247, Images: 183},
-	{SimNS: 74841142, Execs: 440, PMPaths: 180, BranchCov: 84, QueueLen: 275, Images: 205},
-	{SimNS: 78120632, Execs: 460, PMPaths: 194, BranchCov: 84, QueueLen: 281, Images: 210},
-	{SimNS: 81399894, Execs: 480, PMPaths: 206, BranchCov: 85, QueueLen: 288, Images: 215},
-	{SimNS: 84643553, Execs: 500, PMPaths: 221, BranchCov: 85, QueueLen: 291, Images: 217},
-	{SimNS: 87741076, Execs: 520, PMPaths: 229, BranchCov: 85, QueueLen: 291, Images: 217},
-	{SimNS: 94020089, Execs: 560, PMPaths: 249, BranchCov: 87, QueueLen: 293, Images: 217},
-	{SimNS: 97314476, Execs: 580, PMPaths: 255, BranchCov: 87, QueueLen: 293, Images: 217},
-	{SimNS: 100409478, Execs: 600, PMPaths: 265, BranchCov: 87, QueueLen: 293, Images: 217},
-	{SimNS: 103525561, Execs: 620, PMPaths: 273, BranchCov: 87, QueueLen: 293, Images: 217},
-	{SimNS: 106802033, Execs: 640, PMPaths: 286, BranchCov: 89, QueueLen: 299, Images: 222},
-	{SimNS: 110072781, Execs: 660, PMPaths: 295, BranchCov: 89, QueueLen: 305, Images: 227},
-	{SimNS: 113538143, Execs: 680, PMPaths: 302, BranchCov: 89, QueueLen: 317, Images: 237},
-	{SimNS: 116918183, Execs: 700, PMPaths: 318, BranchCov: 89, QueueLen: 317, Images: 237},
-	{SimNS: 120051882, Execs: 720, PMPaths: 330, BranchCov: 89, QueueLen: 317, Images: 237},
-	{SimNS: 120051882, Execs: 720, PMPaths: 330, BranchCov: 89, QueueLen: 317, Images: 237},
+	{SimNS: 7664953, Execs: 22, PMPaths: 8, BranchCov: 36, QueueLen: 42, Images: 30},
+	{SimNS: 7664953, Execs: 40, PMPaths: 14, BranchCov: 43, QueueLen: 62, Images: 45},
+	{SimNS: 12432596, Execs: 60, PMPaths: 18, BranchCov: 46, QueueLen: 81, Images: 60},
+	{SimNS: 18683596, Execs: 82, PMPaths: 23, BranchCov: 51, QueueLen: 108, Images: 82},
+	{SimNS: 18683596, Execs: 100, PMPaths: 29, BranchCov: 53, QueueLen: 135, Images: 104},
+	{SimNS: 23312848, Execs: 122, PMPaths: 38, BranchCov: 59, QueueLen: 169, Images: 132},
+	{SimNS: 27053131, Execs: 140, PMPaths: 46, BranchCov: 60, QueueLen: 177, Images: 137},
+	{SimNS: 30972583, Execs: 160, PMPaths: 51, BranchCov: 67, QueueLen: 180, Images: 137},
+	{SimNS: 34966413, Execs: 180, PMPaths: 59, BranchCov: 67, QueueLen: 189, Images: 143},
+	{SimNS: 34966413, Execs: 200, PMPaths: 67, BranchCov: 70, QueueLen: 192, Images: 143},
+	{SimNS: 40444881, Execs: 220, PMPaths: 72, BranchCov: 71, QueueLen: 194, Images: 143},
+	{SimNS: 44030084, Execs: 240, PMPaths: 77, BranchCov: 73, QueueLen: 195, Images: 143},
+	{SimNS: 46539227, Execs: 260, PMPaths: 85, BranchCov: 78, QueueLen: 202, Images: 146},
+	{SimNS: 49827900, Execs: 280, PMPaths: 100, BranchCov: 84, QueueLen: 209, Images: 149},
+	{SimNS: 52762866, Execs: 300, PMPaths: 112, BranchCov: 85, QueueLen: 212, Images: 151},
+	{SimNS: 55257612, Execs: 320, PMPaths: 120, BranchCov: 85, QueueLen: 213, Images: 151},
+	{SimNS: 58707572, Execs: 340, PMPaths: 133, BranchCov: 87, QueueLen: 220, Images: 155},
+	{SimNS: 61236567, Execs: 360, PMPaths: 143, BranchCov: 88, QueueLen: 223, Images: 157},
+	{SimNS: 64193977, Execs: 380, PMPaths: 152, BranchCov: 90, QueueLen: 229, Images: 162},
+	{SimNS: 70078475, Execs: 400, PMPaths: 161, BranchCov: 90, QueueLen: 229, Images: 162},
+	{SimNS: 73700567, Execs: 422, PMPaths: 170, BranchCov: 94, QueueLen: 239, Images: 169},
+	{SimNS: 73700567, Execs: 440, PMPaths: 179, BranchCov: 100, QueueLen: 251, Images: 179},
+	{SimNS: 79680819, Execs: 460, PMPaths: 190, BranchCov: 100, QueueLen: 256, Images: 183},
+	{SimNS: 82729849, Execs: 480, PMPaths: 204, BranchCov: 105, QueueLen: 268, Images: 192},
+	{SimNS: 85739196, Execs: 500, PMPaths: 219, BranchCov: 105, QueueLen: 274, Images: 197},
+	{SimNS: 88274721, Execs: 520, PMPaths: 231, BranchCov: 105, QueueLen: 274, Images: 197},
+	{SimNS: 90842655, Execs: 540, PMPaths: 244, BranchCov: 105, QueueLen: 274, Images: 197},
+	{SimNS: 93390923, Execs: 560, PMPaths: 255, BranchCov: 105, QueueLen: 274, Images: 197},
+	{SimNS: 96744220, Execs: 580, PMPaths: 264, BranchCov: 105, QueueLen: 284, Images: 205},
+	{SimNS: 100572904, Execs: 600, PMPaths: 273, BranchCov: 105, QueueLen: 303, Images: 221},
+	{SimNS: 103481241, Execs: 620, PMPaths: 287, BranchCov: 105, QueueLen: 310, Images: 227},
+	{SimNS: 106879146, Execs: 640, PMPaths: 299, BranchCov: 105, QueueLen: 323, Images: 238},
+	{SimNS: 112143417, Execs: 660, PMPaths: 315, BranchCov: 105, QueueLen: 323, Images: 238},
+	{SimNS: 115098929, Execs: 680, PMPaths: 327, BranchCov: 106, QueueLen: 330, Images: 243},
+	{SimNS: 117609237, Execs: 700, PMPaths: 335, BranchCov: 106, QueueLen: 330, Images: 243},
+	{SimNS: 120132891, Execs: 720, PMPaths: 339, BranchCov: 107, QueueLen: 331, Images: 243},
+	{SimNS: 120132891, Execs: 722, PMPaths: 340, BranchCov: 107, QueueLen: 331, Images: 243},
 }
 
 // runWorkers runs one session with an explicit worker count.
@@ -64,14 +72,14 @@ func runWorkers(t *testing.T, workload string, budget int64, workers int, bg *bu
 	return f.Run()
 }
 
-func TestWorkersOneMatchesSerialGolden(t *testing.T) {
+func TestWorkersOneGolden(t *testing.T) {
 	res := runWorkers(t, "btree", 120_000_000, 1, nil)
-	if res.Execs != 720 || res.PMPaths != 330 || res.SimNS != 120051882 {
-		t.Fatalf("summary diverged from golden: execs=%d pmpaths=%d simns=%d, want 720/330/120051882",
+	if res.Execs != 722 || res.PMPaths != 340 || res.SimNS != 120132891 {
+		t.Fatalf("summary diverged from golden: execs=%d pmpaths=%d simns=%d, want 722/340/120132891",
 			res.Execs, res.PMPaths, res.SimNS)
 	}
-	if res.Queue.Len() != 317 || res.Store.Len() != 237 {
-		t.Fatalf("corpus diverged from golden: queue=%d images=%d, want 317/237",
+	if res.Queue.Len() != 331 || res.Store.Len() != 243 {
+		t.Fatalf("corpus diverged from golden: queue=%d images=%d, want 331/243",
 			res.Queue.Len(), res.Store.Len())
 	}
 	if len(res.Faults) != 0 {
@@ -90,15 +98,15 @@ func TestWorkersOneMatchesSerialGolden(t *testing.T) {
 func TestWorkersOneMatchesFaultGolden(t *testing.T) {
 	res := runWorkers(t, "hashmap-tx", 300_000_000, 1,
 		bugs.NewSet().EnableReal(bugs.Bug1HashmapTXCreateNotRetried))
-	if res.Execs != 1893 || res.PMPaths != 810 || res.Queue.Len() != 392 {
-		t.Fatalf("summary diverged from golden: execs=%d pmpaths=%d queue=%d, want 1893/810/392",
+	if res.Execs != 1877 || res.PMPaths != 827 || res.Queue.Len() != 398 {
+		t.Fatalf("summary diverged from golden: execs=%d pmpaths=%d queue=%d, want 1877/827/398",
 			res.Execs, res.PMPaths, res.Queue.Len())
 	}
 	if len(res.Faults) != 1 {
 		t.Fatalf("fault count = %d, want 1", len(res.Faults))
 	}
 	f := res.Faults[0]
-	if f.Msg != "panic: pmemobj: null object dereference" || f.Execs != 355 || f.SimNS != 61021067 {
+	if f.Msg != "panic: pmemobj: null object dereference" || f.Execs != 328 || f.SimNS != 56354412 {
 		t.Fatalf("fault diverged from golden: msg=%q execs=%d simns=%d", f.Msg, f.Execs, f.SimNS)
 	}
 }
@@ -193,5 +201,82 @@ func TestWorkersZeroSelectsAutomatic(t *testing.T) {
 	}
 	if res.SimNS < 20_000_000 {
 		t.Fatalf("stopped before budget: %d", res.SimNS)
+	}
+}
+
+func TestMergedClockAdvances(t *testing.T) {
+	// The coordinator's clock is the fleet's merged time axis: SimNow, as
+	// the campaign sync layer reads it between rounds, must track the
+	// merged clock of a multi-worker session, and a foreign seed grafted
+	// mid-run must be stamped with it.
+	cfg, err := DefaultConfig("btree", PMFuzzAll, 20_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 2
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := f.CorpusEntries()[0].Input
+	var reads []int64
+	graft := -1
+	f.SetSyncHook(func() {
+		reads = append(reads, f.SimNow())
+		if len(reads) == 5 {
+			if graft, err = f.AddForeignSeed(seed, imgstore.ID{}, false, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	res := f.Run()
+	if len(reads) < 5 {
+		t.Fatalf("sync hook ran %d times, want at least 5", len(reads))
+	}
+	for i := 1; i < len(reads); i++ {
+		if reads[i] < reads[i-1] {
+			t.Fatalf("SimNow went backwards at hook call %d: %d -> %d", i, reads[i-1], reads[i])
+		}
+	}
+	if reads[1] <= 0 {
+		t.Fatalf("SimNow = %d after the first round, want > 0", reads[1])
+	}
+	if last := reads[len(reads)-1]; last != res.SimNS {
+		t.Fatalf("final SimNow = %d, want Result.SimNS %d", last, res.SimNS)
+	}
+	if e := res.Queue.Get(graft); e == nil || e.FoundSimNS <= 0 {
+		t.Fatalf("grafted seed %d not stamped with the merged clock: %+v", graft, e)
+	}
+}
+
+func TestProbFailPlacementsDiffer(t *testing.T) {
+	// Probabilistic crash placements are seeded from an execution count
+	// that advances across outcomes, so one worker harvesting the same
+	// test case twice places its crashes differently.
+	cfg, err := DefaultConfig("btree", PMFuzzAll, 1_000_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxBarrierImages = 1
+	cfg.ProbFailRate = 0.02
+	cfg.ProbFailSeeds = 1
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorker(f, 0)
+	tc := executor.TestCase{Workload: cfg.Workload, Input: f.seedInput, Seed: cfg.Seed}
+	res := executor.Run(tc, executor.Options{Clock: w.clock, MaxCommands: cfg.MaxCommands})
+	var placed [2][32]byte
+	for k := range placed {
+		o := &execOutcome{execs: 1}
+		w.harvestCrashImages(tc, res, o)
+		if len(o.crashImages) != 2 {
+			t.Fatalf("harvest %d: %d crash images, want one barrier and one probabilistic", k, len(o.crashImages))
+		}
+		placed[k] = o.crashImages[1].Hash()
+	}
+	if placed[0] == placed[1] {
+		t.Fatalf("both harvests placed the probabilistic crash identically (image %x)", placed[0][:8])
 	}
 }

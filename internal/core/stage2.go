@@ -9,8 +9,8 @@ package core
 // transaction recovery + workload recovery hooks, no commands), then
 // fuzz command inputs from the *recovered* image as the start state with
 // Stage2Workers cores and a Stage2BudgetNS simulated budget. Campaigns
-// run sequentially on the session's coordinating goroutine and continue
-// the session time axis, so a two-stage session remains a pure function
+// run sequentially on the session's coordinating goroutine and advance
+// the session clock, so a two-stage session remains a pure function
 // of (Seed, Workers, stage budgets). Crash images found inside a
 // campaign become the next promotion round's candidates — the original
 // tool's stage=2,iter=N iteration directories.
@@ -23,7 +23,6 @@ import (
 	"pmfuzz/internal/fuzz"
 	"pmfuzz/internal/imgstore"
 	"pmfuzz/internal/obs"
-	"pmfuzz/internal/pmem"
 )
 
 // defaultStage2MaxCampaigns bounds sub-campaigns when the config
@@ -47,19 +46,18 @@ func (f *Fuzzer) runStage2(res *Result) {
 	if perBudget <= 0 {
 		perBudget = f.cfg.BudgetNS / 4
 	}
-	axis := res.SimNS
 	for iter := 1; f.stage2Campaigns < maxC; iter++ {
 		roots := f.promoter.promote(f.queue, maxC-f.stage2Campaigns)
 		if len(roots) == 0 {
 			break
 		}
 		for _, root := range roots {
-			f.runCampaign(root, iter, f.stage2Campaigns, &axis, perBudget)
+			f.runCampaign(root, iter, f.stage2Campaigns, perBudget)
 		}
 	}
-	f.sampleAt(axis, true)
+	f.sample(true)
 	res.Execs = f.execs
-	res.SimNS = axis
+	res.SimNS = f.clock.Now()
 	res.PMPaths = len(f.pmPathSigs)
 	res.Series = f.series
 	res.Faults = f.faults
@@ -69,17 +67,13 @@ func (f *Fuzzer) runStage2(res *Result) {
 }
 
 // runCampaign executes one stage-2 sub-campaign from a promoted crash
-// image and merges its outcome into the session. axis is the session
-// time cursor: the campaign's clock starts there and the cursor advances
-// to the campaign's end.
-func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, axis *int64, perBudget int64) {
+// image on the session clock and merges its outcome into the session.
+func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, perBudget int64) {
 	f.stage2Campaigns++
 	execsBefore := f.execs
-	clock := pmem.NewClock()
-	clock.Charge(*axis)
 
 	f.obsStageEnter(obs.StageEnterEvent{
-		SimNS: *axis, Stage: 2, Iter: iter, Campaign: campaign,
+		SimNS: f.clock.Now(), Stage: 2, Iter: iter, Campaign: campaign,
 		Root: root.ID, Image: root.ImageID.String(),
 		Score:   f.promoter.score(f.queue, root),
 		Workers: f.cfg.Stage2Workers, BudgetNS: perBudget,
@@ -87,17 +81,17 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, axis *int64, 
 	exit := func() {
 		f.stage2Execs += f.execs - execsBefore
 		f.obsStageExit(obs.StageExitEvent{
-			SimNS: *axis, Stage: 2, Iter: iter, Campaign: campaign,
+			SimNS: f.clock.Now(), Stage: 2, Iter: iter, Campaign: campaign,
 			Execs: f.execs - execsBefore, PMPaths: len(f.pmPathSigs),
 			RecoverySites: f.recoverySites(),
 		})
-		f.sampleAt(*axis, true)
+		f.sample(true)
 	}
 
 	// Pin the promoted crash image resident for the whole campaign (the
 	// stage-2 analog of the fork server keeping its start state mapped);
 	// the one decode charges the campaign clock like any image load.
-	img, err := f.store.Pin(root.ImageID, clock)
+	img, err := f.store.Pin(root.ImageID, f.clock)
 	if err != nil {
 		exit()
 		return
@@ -109,7 +103,7 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, axis *int64, 
 	// sub-campaign's true start image.
 	rec := executor.Recover(executor.TestCase{
 		Workload: f.cfg.Workload, Image: img, Bugs: f.bugs, Seed: f.cfg.Seed,
-	}, executor.Options{Clock: clock, Arena: f.arena, Shard: f.shard})
+	}, executor.Options{Clock: f.clock, Arena: f.arena, Shard: f.shard})
 	f.execs++
 	if rec.SetupPM != nil && f.recVirgin != nil {
 		f.recVirgin.Merge(rec.SetupPM)
@@ -122,8 +116,7 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, axis *int64, 
 		} else if rec.Err != nil {
 			msg = rec.Err.Error()
 		}
-		f.addFault(root, root.Input, msg, clock.Now())
-		*axis = clock.Now()
+		f.addFault(root, root.Input, msg, f.clock.Now())
 		f.arena.Recycle(rec)
 		f.arena.RecycleImage(rec.Image)
 		exit()
@@ -133,49 +126,43 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, axis *int64, 
 	f.arena.Recycle(rec)
 	f.arena.RecycleImage(rec.Image)
 	if err != nil {
-		*axis = clock.Now()
 		exit()
 		return
 	}
-	if _, err := f.store.Pin(recID, clock); err != nil {
-		*axis = clock.Now()
+	if _, err := f.store.Pin(recID, f.clock); err != nil {
 		exit()
 		return
 	}
 	defer f.store.Unpin(recID)
 
-	child := f.newCampaign(root, recID, iter, campaign, clock, perBudget)
+	child := f.newCampaign(root, recID, iter, campaign, perBudget)
 	if child == nil {
-		*axis = clock.Now()
 		exit()
 		return
 	}
 	cres := child.Run()
 	f.mergeCampaign(root, child, cres, iter)
-	*axis = cres.SimNS
 	exit()
 }
 
 // newCampaign builds the sub-campaign fuzzer: a fresh engine with
-// per-stage scoped virgin maps, mutator, and queue, sharing the
-// session's image store, arena, telemetry, recovery virgin, and fault
-// buckets. Its corpus is the workload seed inputs plus the promoted
-// entry's own input, all starting from the recovered image.
-func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign int, clock *pmem.Clock, perBudget int64) *Fuzzer {
+// per-stage scoped virgin maps and queue, sharing the session's image
+// store, clock, telemetry, recovery virgin, and fault buckets. Its
+// corpus is the workload seed inputs plus the promoted entry's own
+// input, all starting from the recovered image.
+func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign int, perBudget int64) *Fuzzer {
 	cfg := f.cfg
 	cfg.Workers = f.cfg.Stage2Workers
 	cfg.Stage1Workers = 0
 	cfg.Stage2Workers = 0 // campaigns never recurse
 	cfg.Seed = f.cfg.Seed + stage2SeedPrime*int64(campaign+1)
-	cfg.BudgetNS = clock.Now() + perBudget
+	cfg.BudgetNS = f.clock.Now() + perBudget
 	child, err := New(cfg, f.bugs)
 	if err != nil {
 		return nil
 	}
 	child.store = f.store
-	child.arena = f.arena
-	child.clock = clock
-	child.clockBase = clock.Now()
+	child.clock = f.clock
 	child.stage = 2
 	child.iter = iter
 	child.campaign = campaign

@@ -273,8 +273,8 @@ func summary(r *Result) map[string]int64 {
 
 // TestStage2DisabledMatchesGolden pins the compatibility half of the
 // determinism contract: Stage2Workers=0 (the -disable-stage2 path) must
-// reproduce the single-loop engine's golden trajectory byte-for-byte,
-// even with recovery tracking on (it is strictly read-only).
+// reproduce the Workers=1 golden trajectory byte-for-byte, even with
+// recovery tracking on (it is strictly read-only).
 func TestStage2DisabledMatchesGolden(t *testing.T) {
 	cfg, err := DefaultConfig("btree", PMFuzzAll, 120_000_000, 42)
 	if err != nil {
@@ -288,12 +288,12 @@ func TestStage2DisabledMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := f.Run()
-	if res.Execs != 720 || res.PMPaths != 330 || res.SimNS != 120051882 {
-		t.Fatalf("summary diverged from golden: execs=%d pmpaths=%d simns=%d, want 720/330/120051882",
+	if res.Execs != 722 || res.PMPaths != 340 || res.SimNS != 120132891 {
+		t.Fatalf("summary diverged from golden: execs=%d pmpaths=%d simns=%d, want 722/340/120132891",
 			res.Execs, res.PMPaths, res.SimNS)
 	}
-	if res.Queue.Len() != 317 || res.Store.Len() != 237 {
-		t.Fatalf("corpus diverged from golden: queue=%d images=%d, want 317/237",
+	if res.Queue.Len() != 331 || res.Store.Len() != 243 {
+		t.Fatalf("corpus diverged from golden: queue=%d images=%d, want 331/243",
 			res.Queue.Len(), res.Store.Len())
 	}
 	if len(res.Series) != len(goldenBtreeSeries) {

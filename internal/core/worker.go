@@ -1,9 +1,9 @@
 package core
 
-// The parallel engine's worker side. Each worker goroutine is the
-// in-process analog of one slave AFL instance in the paper's §5.1
-// fleet: it owns a private virgin pair, mutator, RNG, decompressed-image
-// cache, and simulated clock shard, executes batch leases handed out by
+// The fuzzing engine's worker side. Each worker goroutine is the
+// in-process analog of one AFL instance in the paper's §5.1 fleet: it
+// owns a private virgin pair, mutator, decompressed-image cache, and
+// simulated clock shard, executes batch leases handed out by
 // the coordinator, and ships per-execution outcomes back for the
 // authoritative merge. Workers pre-filter with their private virgins —
 // full coverage maps are only shipped for executions that look new to
@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pmfuzz/internal/executor"
 	"pmfuzz/internal/fuzz"
@@ -24,12 +23,12 @@ import (
 )
 
 // energyBase is the child count for an unfavored entry; Favored levels
-// shift it to 4 / 8 / 16, matching the serial loop.
+// shift it to 4 / 8 / 16.
 const energyBase = 4
 
-// workerSeedPrime spaces the per-worker RNG seeds so workers explore
-// decorrelated mutation streams while staying a pure function of
-// (Config.Seed, workerID).
+// workerSeedPrime spaces the per-worker mutator and crash-placement
+// seeds so workers explore decorrelated streams while staying a pure
+// function of (Config.Seed, workerID).
 const workerSeedPrime = 100003
 
 // workItem is one lease as dispatched to a worker: either a warm-up run
@@ -38,16 +37,17 @@ type workItem struct {
 	lease *fuzz.Lease
 	// seedRun executes the parent input unmutated (Figure 11 step ①).
 	seedRun bool
+	// execs is the session's execution count when the lease was issued.
+	execs int
 }
 
 // execOutcome is everything the coordinator needs from one worker
 // execution (plus its attached crash-image sweep, when one ran).
 type execOutcome struct {
 	input []byte
-	// branch/pm are the execution's coverage maps, shipped only when the
+	// tracer carries the execution's coverage maps, shipped only when the
 	// worker's private virgins saw something new (nil otherwise).
-	branch *instr.Map
-	pm     *instr.Map
+	tracer *instr.Tracer
 	// pmSig is the PM-path signature (valid when hasPMSig).
 	pmSig    uint64
 	hasPMSig bool
@@ -94,7 +94,6 @@ type worker struct {
 	cfg  Config
 	bugs *bugs.Set
 
-	rng   *rand.Rand
 	mut   *fuzz.Mutator
 	clock *pmem.Clock
 	cache *imgstore.Cache
@@ -108,6 +107,11 @@ type worker struct {
 	trackRecovery bool
 
 	seedInput []byte
+
+	// execs is the session's execution count when the current lease was
+	// issued plus the executions run so far in the lease. It seeds
+	// probabilistic crash placements, so they differ across outcomes.
+	execs int
 
 	// arena is this worker's private execution reuse handle (the
 	// persistent-mode analog): one resident device, pooled tracers and
@@ -127,23 +131,32 @@ type worker struct {
 	results chan *workerBatch
 }
 
-func newWorker(f *Fuzzer, id int) *worker {
+// newWorkerState builds the part of worker id that a checkpoint
+// carries: its mutator and its image cache.
+func newWorkerState(f *Fuzzer, id int) *worker {
 	cacheCap := 0
 	if f.cfg.Features.SysOpt {
 		cacheCap = f.cfg.ImageCacheCap
 	}
+	return &worker{
+		mut:   fuzz.NewMutator(f.cfg.Seed+2+int64(id)*workerSeedPrime, f.seedDict),
+		cache: f.store.NewCache(cacheCap),
+	}
+}
+
+func newWorker(f *Fuzzer, id int) *worker {
 	var shard *obs.Shard
 	if f.tele != nil {
 		shard = &obs.Shard{}
 	}
+	st := newWorkerState(f, id)
 	w := &worker{
 		id:            id,
 		cfg:           f.cfg,
 		bugs:          f.bugs,
-		rng:           rand.New(rand.NewSource(f.cfg.Seed + 3 + int64(id)*workerSeedPrime)),
-		mut:           fuzz.NewMutator(f.cfg.Seed+2+int64(id)*workerSeedPrime, f.seedDict),
+		mut:           st.mut,
 		clock:         pmem.NewClock(),
-		cache:         f.store.NewCache(cacheCap),
+		cache:         st.cache,
 		store:         f.store,
 		branchVirgin:  instr.NewVirgin(),
 		pmVirgin:      instr.NewVirgin(),
@@ -154,9 +167,9 @@ func newWorker(f *Fuzzer, id int) *worker {
 		leases:        make(chan workItem, 1),
 		results:       make(chan *workerBatch, 1),
 	}
-	// A stage-2 campaign's workers continue the session time axis: their
-	// clock shards start at the campaign's base offset, not zero.
-	w.clock.Charge(f.clockBase)
+	// Clock shards start on the merged time axis, which is past zero in
+	// a stage-2 campaign or a resumed session.
+	w.clock.Charge(f.clock.Now())
 	w.cache.SetShard(shard)
 	return w
 }
@@ -170,6 +183,7 @@ func (w *worker) run() {
 	for item := range w.leases {
 		w.shard.EndIdle(idle0)
 		t0 := w.shard.Begin()
+		w.execs = item.execs
 		b := &workerBatch{parent: item.lease.Parent}
 		if item.seedRun {
 			if w.clock.Now() < w.cfg.BudgetNS {
@@ -190,16 +204,17 @@ func (w *worker) run() {
 	}
 }
 
-// deriveChild mirrors the serial Fuzzer.deriveChild with worker-local
-// randomness: the splice partner comes pre-drawn in the lease (queue
-// access stays with the coordinator) and the splice/havoc coin is the
-// worker RNG's.
+// deriveChild produces child i of a lease as an (input, image) pair.
+// The splice-or-havoc decision comes pre-drawn in the lease (queue
+// access stays with the coordinator). The image part is either
+// inherited (indirect mutation happens through execution) or
+// byte-mutated (the ImgFuzzDirect comparison point).
 func (w *worker) deriveChild(l *fuzz.Lease, i int) ([]byte, *imageRef) {
 	e := l.Parent
 	input := e.Input
 	if w.cfg.Features.InputFuzz {
 		t0 := w.shard.Begin()
-		if sp := l.Splices[i]; sp != nil && w.rng.Intn(4) == 0 {
+		if sp := l.Splices[i]; sp != nil {
 			input = w.mut.Splice(e.Input, sp)
 		} else {
 			input = w.mut.Havoc(e.Input)
@@ -207,25 +222,43 @@ func (w *worker) deriveChild(l *fuzz.Lease, i int) ([]byte, *imageRef) {
 		w.shard.End(obs.StageMutate, t0)
 	}
 	img := w.resolveImage(e)
-	if w.cfg.Features.ImgFuzzDirect {
-		input = w.seedInput
-		base := img
-		if base == nil || base.img == nil {
-			res := executor.Run(executor.TestCase{
-				Workload: w.cfg.Workload, Input: w.seedInput, Bugs: w.bugs, Seed: w.cfg.Seed,
-			}, executor.Options{Clock: w.clock, Shard: w.shard})
-			if res.Image == nil {
-				return input, nil
-			}
-			base = &imageRef{img: res.Image}
-		}
-		t0 := w.shard.Begin()
-		mutated := base.img.Clone()
-		mutated.Data = w.mut.MutateImage(mutated.Data)
-		w.shard.End(obs.StageMutate, t0)
-		return input, &imageRef{img: mutated}
+	if !w.cfg.Features.ImgFuzzDirect {
+		return input, img
 	}
-	return input, img
+	// Direct image mutation: corrupt the image payload, keep the fixed
+	// seed input. An entry without an image mutates the output of one
+	// clean seed run, which runs on the arena and is recycled once cloned.
+	var base *pmem.Image
+	if img != nil {
+		base = img.img
+	}
+	var seedRes *executor.Result
+	if base == nil {
+		seedRes = executor.Run(executor.TestCase{
+			Workload: w.cfg.Workload, Input: w.seedInput, Bugs: w.bugs, Seed: w.cfg.Seed,
+		}, executor.Options{Clock: w.clock, Arena: w.arena, Shard: w.shard})
+		if seedRes.Image == nil {
+			w.arena.Recycle(seedRes)
+			return w.seedInput, nil
+		}
+		base = seedRes.Image
+	}
+	t0 := w.shard.Begin()
+	mutated := base.Clone()
+	mutated.Data = w.mut.MutateImage(mutated.Data)
+	w.shard.End(obs.StageMutate, t0)
+	if seedRes != nil {
+		w.arena.Recycle(seedRes)
+		w.arena.RecycleImage(seedRes.Image)
+	}
+	return w.seedInput, &imageRef{img: mutated}
+}
+
+// imageRef is a resolved queue-entry image plus whether it was resident
+// in the worker's cache (which decides the simulated open cost).
+type imageRef struct {
+	img    *pmem.Image
+	cached bool
 }
 
 // resolveImage loads an entry's image through the worker's private
@@ -265,6 +298,7 @@ func (w *worker) execCase(parent *fuzz.Entry, input []byte, img *imageRef) *exec
 		Shard:         w.shard,
 		RecordSetupPM: w.trackRecovery && parent != nil && parent.IsCrashImage && tc.Image != nil,
 	})
+	w.execs++
 	o := &execOutcome{input: input, inImage: tc.Image, execs: 1, setupPM: res.SetupPM}
 	newBSlot, newBBucket := w.branchVirgin.Merge(res.Tracer.BranchMap())
 	newPSlot, newPBucket := w.pmVirgin.Merge(res.Tracer.PMMap())
@@ -273,12 +307,10 @@ func (w *worker) execCase(parent *fuzz.Entry, input []byte, img *imageRef) *exec
 		o.hasPMSig = true
 	}
 	if newBSlot || newBBucket || newPSlot || newPBucket {
-		// Locally new: ship the maps for the authoritative merge. The
-		// tracer is per-execution, so the maps can be handed off without
-		// copying — which also means this tracer must NOT be recycled:
-		// the coordinator reads the maps after the batch is shipped.
-		o.branch = res.Tracer.BranchMap()
-		o.pm = res.Tracer.PMMap()
+		// Locally new: ship the maps for the authoritative merge without
+		// copying. The tracer comes back through reclaim once the batch
+		// is merged.
+		o.tracer = res.Tracer
 	} else {
 		w.arena.Recycle(res)
 	}
@@ -304,16 +336,35 @@ func (w *worker) execCase(parent *fuzz.Entry, input []byte, img *imageRef) *exec
 	return o
 }
 
+// reclaim returns a merged batch's shipped tracers and images to the
+// worker's arena: the merge folded the maps into the authoritative
+// virgins and serialized the images into the store, so nothing holds
+// them any more. The coordinator calls it while the worker is parked
+// between its result hand-off and its next lease, the same
+// exclusive-access window as the virgin refresh. The image an outcome
+// started from belongs to the cache and is never reclaimed.
+func (w *worker) reclaim(b *workerBatch) {
+	for _, o := range b.outcomes {
+		w.arena.Recycle(&executor.Result{Tracer: o.tracer})
+		w.arena.RecycleImage(o.outImage)
+		for _, img := range o.crashImages {
+			w.arena.RecycleImage(img)
+		}
+	}
+}
+
 // harvestCrashImages is the worker-side failure-injection sweep
 // (Figure 11 steps ③–④), charging the worker's clock. The decision to
 // sweep is worker-local — like a real fleet, an instance harvests for
 // anything new to *it*; the coordinator discards harvests whose PM path
 // the fleet had already seen.
 //
-// Like the serial loop, the barrier leg is single-pass: one journaled
-// re-execution materializes every sampled ordering point from its delta
-// journal. The incremental hasher stamps each image's content hash, so
-// the coordinator's dedup Put does not re-hash shipped images.
+// The barrier leg is single-pass: one journaled re-execution
+// materializes every sampled ordering point from its delta journal. The
+// incremental hasher stamps each image's content hash, so the
+// coordinator's dedup Put does not re-hash shipped images. Probabilistic
+// placements land between ordering points, so they are genuinely
+// re-executed, each seeded from the worker's running execution count.
 func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, o *execOutcome) {
 	if w.cfg.MaxBarrierImages <= 0 {
 		return
@@ -321,6 +372,7 @@ func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, 
 	if w.clock.Now() < w.cfg.BudgetNS {
 		sw := executor.SweepRun(tc, executor.Options{Clock: w.clock, MaxCommands: w.cfg.MaxCommands, Arena: w.arena, Shard: w.shard})
 		o.execs++
+		w.execs++
 		sw.EnableIncrementalHash()
 		n := w.cfg.MaxBarrierImages
 		if n > sw.Barriers() {
@@ -343,9 +395,10 @@ func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, 
 	}
 	for s := 0; s < w.cfg.ProbFailSeeds && w.cfg.ProbFailRate > 0 && w.clock.Now() < w.cfg.BudgetNS; s++ {
 		tcp := tc
-		tcp.Injector = pmem.NewProbabilisticFailure(w.cfg.Seed+int64(w.id)*workerSeedPrime+int64(o.execs)*131, w.cfg.ProbFailRate)
+		tcp.Injector = pmem.NewProbabilisticFailure(w.cfg.Seed+int64(w.id)*workerSeedPrime+int64(w.execs)*131, w.cfg.ProbFailRate)
 		crash := executor.Run(tcp, executor.Options{Clock: w.clock, MaxCommands: w.cfg.MaxCommands, Arena: w.arena, Shard: w.shard})
 		o.execs++
+		w.execs++
 		if crash.Crashed && crash.Image != nil {
 			o.crashImages = append(o.crashImages, crash.Image)
 			o.crashClassKeys = append(o.crashClassKeys, executor.CrashClassKey(crash))

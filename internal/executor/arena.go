@@ -20,9 +20,9 @@ import (
 // Aliasing contract: when a run used an Arena, the Result fields that
 // alias device or pooled state — Tracer, Trace, BarrierOps, CommitVars —
 // are valid only until the next run on the same Arena. Callers that
-// retain them across runs must copy (or simply not call Recycle and let
-// the tracer go to the garbage collector, as the parallel workers do for
-// shipped coverage maps).
+// retain them across runs must copy, or recycle them only once done (as
+// the fuzzing workers do for shipped coverage maps, after the
+// coordinator has merged them).
 type Arena struct {
 	dev     *pmem.Device
 	tracers []*instr.Tracer
@@ -104,8 +104,9 @@ func (a *Arena) snapshotBuf(n int) []byte {
 // Recycle returns a finished Result's pooled observation state (coverage
 // tracer, trace recorder) to the arena. Call it only when the tracer's
 // maps are no longer referenced — a worker that shipped the maps to the
-// coordinator must NOT recycle that result. The fields are nilled so a
-// stale read fails loudly instead of observing a later execution.
+// coordinator must not recycle them before the merge. The fields are
+// nilled so a stale read fails loudly instead of observing a later
+// execution.
 func (a *Arena) Recycle(res *Result) {
 	if res == nil {
 		return

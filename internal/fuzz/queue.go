@@ -249,14 +249,14 @@ func (q *Queue) Random() *Entry {
 	return q.entries[q.rng.Intn(len(q.entries))]
 }
 
-// Lease is a batch of fuzzing work granted to one parallel worker: the
-// scheduled parent entry, how many children to derive from it, and one
-// candidate splice partner input per child slot. The queue stays owned
-// by the coordinator goroutine — workers receive leases and never touch
-// queue state — so every scheduling decision (entry selection, energy,
-// splice partners) is drawn from the queue's single RNG in coordinator
-// order and a session replays deterministically for a fixed
-// (Seed, Workers) pair.
+// Lease is a batch of fuzzing work granted to one worker: the scheduled
+// parent entry, how many children to derive from it, and each child's
+// splice partner. The queue stays owned by the coordinator goroutine —
+// workers receive leases and never touch queue state — so every
+// scheduling decision (entry selection, energy, splice or havoc, splice
+// partners) is drawn from the queue's single RNG in coordinator order
+// and a session replays deterministically for a fixed (Seed, Workers)
+// pair.
 type Lease struct {
 	// Parent is the scheduled entry. Workers treat it as read-only; the
 	// coordinator only mutates scheduling bookkeeping fields that
@@ -265,9 +265,9 @@ type Lease struct {
 	// Energy is the number of children to derive (already scaled by the
 	// entry's Favored level).
 	Energy int
-	// Splices holds one candidate splice partner input per child slot;
-	// nil slots mean the corpus was too small to splice, so the worker
-	// falls back to havoc.
+	// Splices holds one splice partner input per child slot; a nil slot
+	// means havoc (the 1-in-4 splice coin came up havoc, or the corpus
+	// was too small to splice).
 	Splices [][]byte
 }
 
@@ -285,10 +285,14 @@ func (q *Queue) Lease(energyBase int) *Lease {
 		Splices: make([][]byte, energyBase<<uint(e.Favored)),
 	}
 	for i := range l.Splices {
-		if len(q.entries) > 4 {
-			if other := q.Random(); other != nil && other.ID != e.ID {
-				l.Splices[i] = other.Input
-			}
+		if len(q.entries) <= 4 {
+			continue
+		}
+		// Every slot draws its coin and its partner, so the RNG stream
+		// advances by the energy alone, whatever the coins show.
+		splice := q.rng.Intn(4) == 0
+		if other := q.Random(); splice && other.ID != e.ID {
+			l.Splices[i] = other.Input
 		}
 	}
 	return l

@@ -179,10 +179,11 @@ func (s *Store) ImportBlob(id ID, blob []byte) (fresh bool, err error) {
 // image hashes to id, parsing the marshal layout in place — no
 // pmem.Image is constructed. Returns the serialized size.
 func (s *Store) verifyFullBlob(id ID, blob []byte) (int64, error) {
-	raw, err := s.inflate(blob[1:])
+	raw, release, err := s.inflate(blob[1:])
 	if err != nil {
 		return 0, err
 	}
+	defer release()
 	// Layout: magic(8) | uuid(16) | layoutLen(8 LE) | layout |
 	// dataLen(8 LE) | data | sha256(32). The content hash covers
 	// uuid ++ layout ++ data.
@@ -217,31 +218,6 @@ func (s *Store) verifyFullBlob(id ID, blob []byte) (int64, error) {
 		return 0, fmt.Errorf("imgstore: import blob content hash mismatch: want %s got %s", id, got)
 	}
 	return int64(len(raw)), nil
-}
-
-// CacheLRU returns the shared decompressed cache's IDs in LRU order
-// (oldest first), for checkpoint serialization.
-func (s *Store) CacheLRU() []ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]ID(nil), s.cacheLRU...)
-}
-
-// WarmCache repopulates the shared decompressed cache in the given LRU
-// order (oldest first), decoding each image without charging any clock.
-// Checkpoint restore uses it so a resumed session's cache hit/miss
-// sequence — and therefore its simulated open costs — replays exactly.
-func (s *Store) WarmCache(lru []ID) error {
-	for _, id := range lru {
-		img, err := s.decode(id, nil)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.insertCache(id, img)
-		s.mu.Unlock()
-	}
-	return nil
 }
 
 // SetStats overwrites the statistics counters with a snapshot, restoring

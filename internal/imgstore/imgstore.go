@@ -80,8 +80,8 @@ type Stats struct {
 
 // counters holds the live statistics. They are plain atomics rather than
 // mutex-guarded fields so that hit/miss accounting from concurrent
-// fuzzing workers (including the lock-free per-worker Cache hit path)
-// never serializes on the store mutex and stays clean under the race
+// fuzzing workers (including each worker's private Cache) never
+// serializes on the store mutex and stays clean under the race
 // detector.
 type counters struct {
 	puts, dedups, deltaPuts atomic.Int64
@@ -174,27 +174,31 @@ func (s *Store) deflate(raw []byte) ([]byte, error) {
 	return out, nil
 }
 
-// inflate decompresses blob with a pooled reader into a fresh slice.
-func (s *Store) inflate(blob []byte) ([]byte, error) {
+// inflate decompresses blob with a pooled reader into a pooled scratch
+// buffer. The returned bytes are valid until release is called: every
+// caller only reads them or copies what it keeps, so a decode allocates
+// no megabyte-sized buffer it would drop right away.
+func (s *Store) inflate(blob []byte) (raw []byte, release func(), err error) {
 	r := flateReaderPool.Get().(io.ReadCloser)
 	if err := r.(flate.Resetter).Reset(bytes.NewReader(blob), nil); err != nil {
-		return nil, fmt.Errorf("imgstore: reset inflate: %w", err)
+		return nil, nil, fmt.Errorf("imgstore: reset inflate: %w", err)
 	}
 	buf := scratchPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	_, rerr := buf.ReadFrom(r)
 	cerr := r.Close()
 	flateReaderPool.Put(r)
-	raw := append([]byte(nil), buf.Bytes()...)
-	scratchPool.Put(buf)
+	release = func() { scratchPool.Put(buf) }
 	if rerr != nil {
-		return nil, fmt.Errorf("imgstore: decompress: %w", rerr)
+		release()
+		return nil, nil, fmt.Errorf("imgstore: decompress: %w", rerr)
 	}
 	if cerr != nil {
-		return nil, fmt.Errorf("imgstore: decompress close: %w", cerr)
+		release()
+		return nil, nil, fmt.Errorf("imgstore: decompress close: %w", cerr)
 	}
-	s.stats.bytesDecomp.Add(int64(len(raw)))
-	return raw, nil
+	s.stats.bytesDecomp.Add(int64(buf.Len()))
+	return buf.Bytes(), release, nil
 }
 
 // Put stores an image full-encoded, deduplicating by content hash, and
@@ -398,11 +402,12 @@ func (s *Store) decodeDepth(id ID, clock *pmem.Clock, depth int) (*pmem.Image, e
 		if clock != nil {
 			clock.ChargeDecompress()
 		}
-		raw, err := s.inflate(blob[1:])
+		raw, release, err := s.inflate(blob[1:])
 		if err != nil {
 			return nil, err
 		}
 		img, err := pmem.UnmarshalImage(raw)
+		release()
 		if err != nil {
 			return nil, fmt.Errorf("imgstore: %w", err)
 		}
@@ -449,12 +454,15 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	if clock != nil {
 		clock.ChargeDeltaDecompress()
 	}
-	payload, err := s.inflate(blob[p:])
+	payload, release, err := s.inflate(blob[p:])
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 
-	data := append([]byte(nil), base.Data...)
+	// The base was decoded for this call alone (never from a cache), so
+	// the delta patches its data in place.
+	data := base.Data
 	q := 0
 	nRuns, n := binary.Uvarint(payload[q:])
 	if n <= 0 {
@@ -487,18 +495,6 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	// memoize it so later Puts of this image skip the SHA pass.
 	img.SetPrecomputedHash([32]byte(id))
 	return img, nil
-}
-
-// Cached reports whether the image is resident in the decompressed
-// cache or pinned (used to decide the simulated open cost).
-func (s *Store) Cached(id ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.pins[id]; ok {
-		return true
-	}
-	_, ok := s.cache[id]
-	return ok
 }
 
 // Pin makes the image resident until a matching Unpin: it is decoded at
@@ -555,6 +551,14 @@ func (s *Store) Pinned(id ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pinRefs[id] > 0
+}
+
+// pinned returns the image if it is pinned resident.
+func (s *Store) pinned(id ID) (*pmem.Image, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	img, ok := s.pins[id]
+	return img, ok
 }
 
 func (s *Store) insertCache(id ID, img *pmem.Image) {
@@ -666,19 +670,27 @@ func (s *Store) NewCache(cap int) *Cache {
 	return &Cache{store: s, cap: cap, m: map[ID]*pmem.Image{}}
 }
 
-// Cached reports whether the image is resident in this private cache
-// (used to decide the simulated open cost, like Store.Cached).
+// Cached reports whether the image is pinned in the store or resident
+// in this private cache (used to decide the simulated open cost).
 func (c *Cache) Cached(id ID) bool {
+	if _, ok := c.store.pinned(id); ok {
+		return true
+	}
 	_, ok := c.m[id]
 	return ok
 }
 
 // Get returns the image, decompressing from the shared store on a
 // private-cache miss; the miss charges the worker's clock shard. Images
-// are safe to share read-only across caches: executions copy the data
-// into the simulated device before mutating it.
+// pinned in the store hit without a decode, whatever the capacity.
+// Images are safe to share read-only across caches: executions copy the
+// data into the simulated device before mutating it.
 func (c *Cache) Get(id ID, clock *pmem.Clock) (*pmem.Image, error) {
 	defer c.shard.End(obs.StageGet, c.shard.Begin())
+	if img, ok := c.store.pinned(id); ok {
+		c.store.stats.cacheHits.Add(1)
+		return img, nil
+	}
 	if img, ok := c.m[id]; ok {
 		c.store.stats.cacheHits.Add(1)
 		c.touch(id)
@@ -691,6 +703,27 @@ func (c *Cache) Get(id ID, clock *pmem.Clock) (*pmem.Image, error) {
 	}
 	c.insert(id, img)
 	return img, nil
+}
+
+// LRU returns the cached IDs in LRU order (oldest first), for
+// checkpoint serialization.
+func (c *Cache) LRU() []ID {
+	return append([]ID(nil), c.lru...)
+}
+
+// Warm repopulates the cache in the given LRU order (oldest first),
+// decoding each image without charging any clock. Checkpoint restore
+// uses it so a resumed session's hit/miss sequence — and therefore its
+// simulated open costs — replays exactly.
+func (c *Cache) Warm(lru []ID) error {
+	for _, id := range lru {
+		img, err := c.store.decode(id, nil)
+		if err != nil {
+			return err
+		}
+		c.insert(id, img)
+	}
+	return nil
 }
 
 func (c *Cache) insert(id ID, img *pmem.Image) {

@@ -69,15 +69,19 @@ func TestCacheHitMiss(t *testing.T) {
 	if clock.Now() != before {
 		t.Fatalf("cache hit charged time")
 	}
-	// Capacity 1: loading B evicts A.
+	// Capacity 1: loading B evicts A, so A misses again.
 	if _, err := s.Get(idB, clock); err != nil {
 		t.Fatal(err)
 	}
-	if s.Cached(idA) {
+	before = clock.Now()
+	if _, err := s.Get(idA, clock); err != nil {
+		t.Fatal(err)
+	}
+	if clock.Now() == before {
 		t.Fatalf("LRU did not evict")
 	}
 	st := s.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 2 {
+	if st.CacheHits != 1 || st.CacheMisses != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -421,7 +425,8 @@ func TestPinKeepsImageResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cached(id) {
+	c := s.NewCache(0)
+	if c.Cached(id) {
 		t.Fatalf("image resident before Pin with cacheCap=0")
 	}
 	p1, err := s.Pin(id, nil)
@@ -431,7 +436,7 @@ func TestPinKeepsImageResident(t *testing.T) {
 	if !bytes.Equal(p1.Data, img.Data) {
 		t.Fatalf("pinned image data mismatch")
 	}
-	if !s.Pinned(id) || !s.Cached(id) {
+	if !s.Pinned(id) || !c.Cached(id) {
 		t.Fatalf("image not resident after Pin")
 	}
 	// Get must hit the pin (same decoded instance, counted as cache hit).
@@ -455,9 +460,47 @@ func TestPinKeepsImageResident(t *testing.T) {
 		t.Fatalf("image unpinned while a reference remains")
 	}
 	s.Unpin(id)
-	if s.Pinned(id) || s.Cached(id) {
+	if s.Pinned(id) || c.Cached(id) {
 		t.Fatalf("image still resident after final Unpin with cacheCap=0")
 	}
 	// Unpinning an unpinned image is a no-op.
 	s.Unpin(id)
+}
+
+func TestCacheHitsPinWithoutDecode(t *testing.T) {
+	// A worker's private cache must honour the store's pins: a stage-2
+	// campaign's pinned root image is decoded once by Pin, never again by
+	// a cache (not even one with zero capacity), and never charged again
+	// to the campaign clock.
+	s := New(0)
+	img := mkImage(5, 4096)
+	id, _, err := s.Put(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Pin(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.NewCache(0)
+	if !c.Cached(id) {
+		t.Fatalf("pinned image not reported cached by a zero-capacity cache")
+	}
+	before := s.Stats()
+	clock := pmem.NewClock()
+	got, err := c.Get(id, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != p {
+		t.Fatalf("cache decoded a second instance of a pinned image")
+	}
+	after := s.Stats()
+	if clock.Now() != 0 || after.BytesDecompressed != before.BytesDecompressed || after.CacheMisses != before.CacheMisses {
+		t.Fatalf("pinned cache hit decompressed: clock=%d decompressed %d->%d misses %d->%d",
+			clock.Now(), before.BytesDecompressed, after.BytesDecompressed, before.CacheMisses, after.CacheMisses)
+	}
+	if after.CacheHits != before.CacheHits+1 {
+		t.Fatalf("pinned cache hit not counted as a cache hit")
+	}
 }

@@ -13,6 +13,7 @@
 package instr
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"runtime"
 	"strconv"
@@ -290,19 +291,28 @@ func NewVirgin() *Virgin { return &Virgin{} }
 // was new: hasNewSlot is true if some slot was hit for the first time,
 // hasNewBucket is true if a previously seen slot reached a new counter
 // bucket.
+//
+// Maps are sparse, so the scan loads 8 slots at a time and skips the
+// all-zero words.
 func (v *Virgin) Merge(m *Map) (hasNewSlot, hasNewBucket bool) {
-	for i, raw := range m {
-		if raw == 0 {
+	for w := 0; w < MapSize; w += 8 {
+		if binary.LittleEndian.Uint64(m[w:]) == 0 {
 			continue
 		}
-		c := Classify(raw)
-		old := v.seen[i]
-		if old == 0 {
-			hasNewSlot = true
-		} else if old&c == 0 {
-			hasNewBucket = true
+		for i := w; i < w+8; i++ {
+			raw := m[i]
+			if raw == 0 {
+				continue
+			}
+			c := Classify(raw)
+			old := v.seen[i]
+			if old == 0 {
+				hasNewSlot = true
+			} else if old&c == 0 {
+				hasNewBucket = true
+			}
+			v.seen[i] = old | c
 		}
-		v.seen[i] = old | c
 	}
 	return hasNewSlot, hasNewBucket
 }
@@ -319,18 +329,28 @@ func (v *Virgin) Merge(m *Map) (hasNewSlot, hasNewBucket bool) {
 // engine guarantees exclusive access by only calling MergeFrom while the
 // owning worker is parked between a result hand-off and its next lease.
 // Classify and Signature are pure functions and safe from any goroutine.
+//
+// The scan works on 8 slots per load and skips every word in which o
+// has no bit v lacks — in a refresh that is nearly all of them.
 func (v *Virgin) MergeFrom(o *Virgin) (hasNewSlot, hasNewBucket bool) {
-	for i, b := range o.seen {
-		if b == 0 {
+	for i := 0; i < MapSize; i += 8 {
+		ow := binary.LittleEndian.Uint64(o.seen[i:])
+		vw := binary.LittleEndian.Uint64(v.seen[i:])
+		if ow&^vw == 0 {
 			continue
 		}
-		old := v.seen[i]
-		if old == 0 {
-			hasNewSlot = true
-		} else if b&^old != 0 {
-			hasNewBucket = true
+		for sh := 0; sh < 64; sh += 8 {
+			b, old := uint8(ow>>sh), uint8(vw>>sh)
+			if b&^old == 0 {
+				continue
+			}
+			if old == 0 {
+				hasNewSlot = true
+			} else {
+				hasNewBucket = true
+			}
 		}
-		v.seen[i] = old | b
+		binary.LittleEndian.PutUint64(v.seen[i:], vw|ow)
 	}
 	return hasNewSlot, hasNewBucket
 }
@@ -390,18 +410,25 @@ func (v *Virgin) SetBytes(b []byte) {
 // executions share a signature exactly when they hit the same slots with
 // the same counter buckets — the practical identity test for the paper's
 // PM path π_PM (a sequence of PM nodes): counting distinct signatures
-// counts distinct covered PM paths.
+// counts distinct covered PM paths. Like Merge, the scan skips all-zero
+// 8-slot words.
 func Signature(m *Map) uint64 {
 	h := fnv.New64a()
 	var buf [6]byte
-	for i, v := range m {
-		if v == 0 {
+	for w := 0; w < MapSize; w += 8 {
+		if binary.LittleEndian.Uint64(m[w:]) == 0 {
 			continue
 		}
-		buf[0] = byte(i)
-		buf[1] = byte(i >> 8)
-		buf[2] = Classify(v)
-		_, _ = h.Write(buf[:3])
+		for i := w; i < w+8; i++ {
+			v := m[i]
+			if v == 0 {
+				continue
+			}
+			buf[0] = byte(i)
+			buf[1] = byte(i >> 8)
+			buf[2] = Classify(v)
+			_, _ = h.Write(buf[:3])
+		}
 	}
 	return h.Sum64()
 }

@@ -108,8 +108,7 @@ type Shard struct {
 	StageNS  [numStages]int64
 	StageOps [numStages]int64
 	// LeaseNS / IdleNS split a worker's wall time into lease processing
-	// and waiting for the coordinator; Rounds counts leases (or, for the
-	// serial engine, parent selections).
+	// and waiting for the coordinator; Rounds counts leases.
 	LeaseNS, IdleNS int64
 	Rounds          int64
 	// ExecHist is the per-execution wall-latency histogram.

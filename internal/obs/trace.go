@@ -77,8 +77,7 @@ type SessionEvent struct {
 }
 
 // AdmitEvent records an input admitted to the corpus (Figure 11 step ②
-// for inputs). Worker 0 is the serial engine / coordinator; parallel
-// workers are 1-based. Stage is 2 for admissions made inside a stage-2
+// for inputs). Worker 0 is the coordinator; workers are 1-based. Stage is 2 for admissions made inside a stage-2
 // sub-campaign and omitted in stage 1, so single-stage traces are
 // byte-identical to pre-two-stage ones.
 type AdmitEvent struct {

@@ -23,8 +23,10 @@
 package pmem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pmfuzz/internal/instr"
@@ -708,12 +710,10 @@ func NormalizeRanges(rs []Range) []Range {
 	if len(rs) <= 1 {
 		return rs
 	}
-	// Insertion sort: range lists here are short.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Off < rs[j-1].Off; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
+	// Most lists are short and nearly sorted, but a looping execution can
+	// mark the same few commit variables hundreds of thousands of times,
+	// so the sort must not be quadratic.
+	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Off, b.Off) })
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]
