@@ -27,7 +27,6 @@ import (
 	"pmfuzz/internal/oracle"
 	"pmfuzz/internal/workloads"
 	"pmfuzz/internal/workloads/bugs"
-	"pmfuzz/internal/xfd"
 )
 
 // benchBudgetNS returns the per-session simulated budget.
@@ -541,7 +540,7 @@ func BenchmarkWorkloadExecution(b *testing.B) {
 	}
 }
 
-// benchSweepInput is the B-Tree input for the crash-image sweep
+// benchSweepInput is the B-Tree input for the execution hot-loop
 // benchmarks: enough inserts to cross node splits, plus a removal and a
 // consistency check, yielding a few hundred ordering points.
 func benchSweepInput() []byte {
@@ -550,79 +549,6 @@ func benchSweepInput() []byte {
 		in = append(in, []byte(fmt.Sprintf("i %d %d\n", i*5%23, i))...)
 	}
 	return append(in, []byte("r 5\nc\n")...)
-}
-
-// BenchmarkCrashImageSweep compares the two crash-image generation
-// paths on B-Tree: "reexec" re-runs the input once per ordering point
-// (the pre-optimization behavior, kept as executor.CrashImagesReexec),
-// "sweep" journals copy-on-write deltas during ONE execution and
-// materializes every barrier image from the journal. Both must produce
-// byte-identical images — checked here before timing and pinned by
-// TestSweepGoldenEquivalence.
-func BenchmarkCrashImageSweep(b *testing.B) {
-	tc := executor.TestCase{Workload: "btree", Input: benchSweepInput(), Seed: 3}
-	old := executor.CrashImagesReexec(tc, executor.Options{}, 0, 0.002, 2)
-	nw := executor.CrashImages(tc, executor.Options{}, 0, 0.002, 2)
-	if len(old) == 0 || len(old) != len(nw) {
-		b.Fatalf("result counts differ: reexec=%d sweep=%d", len(old), len(nw))
-	}
-	for i := range old {
-		if old[i].Image.Hash() != nw[i].Image.Hash() {
-			b.Fatalf("image %d: hash mismatch between reexec and sweep", i)
-		}
-	}
-	b.Run("reexec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			executor.CrashImagesReexec(tc, executor.Options{}, 0, 0.002, 2)
-		}
-	})
-	b.Run("sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			executor.CrashImages(tc, executor.Options{}, 0, 0.002, 2)
-		}
-	})
-	// Growth in the barrier count: the re-execution path is O(barriers ×
-	// ops), the journaled path pays one execution plus O(changed lines)
-	// per materialized barrier, so doubling maxBarriers must far less
-	// than double the sweep's ns/op.
-	for _, mb := range []int{25, 50, 100, 200} {
-		mb := mb
-		b.Run(fmt.Sprintf("sweep-barriers-%d", mb), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				executor.CrashImages(tc, executor.Options{}, mb, 0, 0)
-			}
-		})
-		b.Run(fmt.Sprintf("reexec-barriers-%d", mb), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				executor.CrashImagesReexec(tc, executor.Options{}, mb, 0, 0)
-			}
-		})
-	}
-}
-
-// BenchmarkXFDSweep compares the cross-failure checker's pre-failure
-// strategies: "per-barrier" re-executes the input for every ordering
-// point (xfd.CheckPost), "sweep" materializes all crash states from one
-// journaled run (xfd.CheckPostSweep). Post-failure executions remain
-// per-point in both modes, so the delta here is the pre-failure side.
-func BenchmarkXFDSweep(b *testing.B) {
-	tc := executor.TestCase{Workload: "btree", Input: benchSweepInput(), Seed: 3}
-	b.Run("per-barrier", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			xfd.CheckPost(tc, 0, 0.002, 2, nil)
-		}
-	})
-	b.Run("sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			xfd.CheckPostSweep(tc, 0, 0.002, 2, nil)
-		}
-	})
 }
 
 // BenchmarkPrunedSweep measures the representative-state pruning layer:

@@ -21,10 +21,10 @@ import (
 
 	"pmfuzz/internal/executor"
 	"pmfuzz/internal/invariant"
+	"pmfuzz/internal/judge"
 	"pmfuzz/internal/oracle"
 	"pmfuzz/internal/pmcheck"
 	"pmfuzz/internal/pmem"
-	"pmfuzz/internal/workloads"
 	"pmfuzz/internal/workloads/bugs"
 	"pmfuzz/internal/xfd"
 )
@@ -32,17 +32,7 @@ import (
 // hasShadowModel reports whether the differential oracle can judge the
 // workload: it needs the workload's state-dump hook and a shadow model
 // (the same gates oracle.Check tests before sweeping).
-func hasShadowModel(workload string) bool {
-	prog, err := workloads.New(workload)
-	if err != nil {
-		return false
-	}
-	if _, ok := prog.(workloads.StateDumper); !ok {
-		return false
-	}
-	_, err = oracle.CheckLine(workload)
-	return err == nil
-}
+func hasShadowModel(workload string) bool { return oracle.Judgeable(workload) == nil }
 
 // resolveOracles decides which oracle legs actually run. When both the
 // differential and the invariant oracle are requested but the workload
@@ -59,6 +49,15 @@ func resolveOracles(workload string, oracleOn, invOn bool, warn io.Writer) (bool
 	return oracleOn, invOn
 }
 
+// invariantRepros minimizes the invariant violations into repro
+// bundles, one per distinct minimized outcome: neighbouring crash points
+// usually shrink to the same repro.
+func invariantRepros(ck *invariant.Checker, tc executor.TestCase, set *invariant.Set, vs []*invariant.Violation) []*oracle.Bundle {
+	return judge.Distinct(vs, func(v *invariant.Violation) *oracle.Bundle {
+		return ck.Minimize(tc, v, set, invariant.Options{PreFence: true})
+	})
+}
+
 func main() {
 	var (
 		workload    = flag.String("workload", "btree", "workload to execute")
@@ -72,7 +71,7 @@ func main() {
 		xfdProb     = flag.Float64("xfd-prob", 0, "probabilistic failure rate for the cross-failure sweep")
 		runOracle   = flag.Bool("oracle", false, "also run the differential crash-consistency oracle over the barrier sweep")
 		runInv      = flag.Bool("invariant", false, "also run the annotation-free invariant oracle: mine likely invariants from the case's own clean trace, then check the barrier sweep against them (with -oracle, cross-validates the two verdicts)")
-		noPrune     = flag.Bool("no-prune-sweep", false, "check every crash state individually instead of one representative per equivalence class")
+		noPrune     = flag.Bool("no-prune-sweep", false, "differential and invariant oracles: judge every crash state instead of one representative per equivalence class (-xfd always reuses exact-duplicate crash states, which is lossless)")
 		reproOut    = flag.String("repro-out", "", "directory for minimized oracle repro bundles (implies minimization)")
 	)
 	flag.Parse()
@@ -136,7 +135,7 @@ func main() {
 	}
 
 	if *runXFD {
-		reports := xfd.Check(tc, *xfdBarriers, *xfdProb, 2)
+		reports, _ := xfd.Check(tc, *xfdBarriers, *xfdProb, 2, nil)
 		for _, r := range reports {
 			fmt.Println(r)
 		}
@@ -202,11 +201,7 @@ func main() {
 					fmt.Println("invariant: clean")
 				}
 				if *reproOut != "" {
-					for i, v := range irep.Violations {
-						b := ck.Minimize(tc, v, set, invariant.Options{PreFence: true})
-						if b == nil {
-							continue
-						}
+					for i, b := range invariantRepros(ck, tc, set, irep.Violations) {
 						dir := fmt.Sprintf("%s/inv-repro-%03d", *reproOut, i)
 						if err := b.Write(dir); err != nil {
 							fmt.Fprintln(os.Stderr, "pmcheck: writing repro bundle:", err)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"pmfuzz/internal/executor"
+	"pmfuzz/internal/invariant"
 	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/workloads"
 	"pmfuzz/internal/workloads/bugs"
@@ -73,5 +75,32 @@ func TestHasShadowModel(t *testing.T) {
 	}
 	if hasShadowModel("no-such-workload") {
 		t.Fatal("an unknown workload must not report a shadow model")
+	}
+}
+
+// TestInvariantReprosDistinct: on Bug 2 the invariant leg reports 17
+// violations that all shrink to one repro (empty input, the same
+// pre-fence barrier and rule), so -repro-out writes one bundle, not one
+// per violation.
+func TestInvariantReprosDistinct(t *testing.T) {
+	tc := executor.TestCase{
+		Workload: "btree", Input: []byte("i 1 1\ni 2 2\n"), Seed: 1,
+		Bugs: bugs.NewSet().EnableReal(bugs.Bug2BTreeCreateNotRetried),
+	}
+	ck := invariant.NewChecker()
+	set, err := ck.MineCase(tc, invariant.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := ck.Check(tc, set, invariant.Options{PreFence: true})
+	if len(rep.Violations) < 2 {
+		t.Fatalf("want several violations to shrink, got %d", len(rep.Violations))
+	}
+	bundles := invariantRepros(ck, tc, set, rep.Violations)
+	if len(bundles) != 1 {
+		t.Fatalf("%d violations gave %d bundles, want 1", len(rep.Violations), len(bundles))
+	}
+	if b := bundles[0]; len(b.Input) != 0 || !b.PreFence || b.Invariant == "" {
+		t.Fatalf("unexpected repro: input %q pre-fence %t rule %q", b.Input, b.PreFence, b.Invariant)
 	}
 }

@@ -92,8 +92,7 @@ var (
 	oracleCheck = flag.Bool("oracle", false, "run the differential crash-consistency oracle on favored test cases (off the simulated clock)")
 	invCheck    = flag.Bool("invariant", false, "run the annotation-free invariant oracle: mine likely crash-consistency invariants from the first favored test cases' PM-op traces, then check later crash images against them (off the simulated clock; needs no shadow model)")
 	reproOut    = flag.String("repro-out", "", "directory for minimized oracle repro bundles (implies -oracle)")
-	pruneSweep  = flag.Bool("prune-sweep", true, "group sweep crash states into behavioral equivalence classes and check one representative per class (full per-member fallback on any violation keeps the reported violation set identical)")
-	noPrune     = flag.Bool("no-prune-sweep", false, "disable sweep pruning (overrides -prune-sweep): check every crash state individually")
+	noPrune     = flag.Bool("no-prune-sweep", false, "judge every crash state individually instead of one representative per behavioral equivalence class (the default; any violating representative triggers a full per-member pass, so the reported violations are identical either way)")
 
 	// Profiling.
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the session to this file")
@@ -114,7 +113,7 @@ var flagGroups = []struct {
 	{"Corpus I/O", []string{"out", "in", "series-out", "show-tree"}},
 	{"Experiments (paper artifacts)", []string{"experiment", "workloads"}},
 	{"Observability", []string{"status-every", "trace-out", "stats-addr"}},
-	{"Crash-consistency oracle", []string{"oracle", "invariant", "repro-out", "prune-sweep", "no-prune-sweep"}},
+	{"Crash-consistency oracle", []string{"oracle", "invariant", "repro-out", "no-prune-sweep"}},
 	{"Profiling", []string{"cpuprofile", "memprofile"}},
 }
 
@@ -266,10 +265,7 @@ func main() {
 		cfg.Stage2BudgetNS = *stage2Budget * 1_000_000
 		cfg.Stage2MaxCampaigns = *stage2MaxCamp
 		cfg.TrackRecovery = *trackRecovery
-		if *noPrune {
-			*pruneSweep = false
-		}
-		cfg.NoPruneSweep = !*pruneSweep
+		cfg.NoPruneSweep = *noPrune
 	}
 	if *synBug > 0 {
 		bg.EnableSyn(*synBug)

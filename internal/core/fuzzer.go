@@ -259,17 +259,17 @@ func New(cfg Config, bugSet *bugs.Set) (*Fuzzer, error) {
 // called before Run.
 func (f *Fuzzer) SetTelemetry(s *obs.Session) {
 	f.tele = s
-	if s == nil {
-		f.shard = nil
-		f.store.SetShard(nil)
-		f.oracleCk.SetShard(nil)
-		f.invCk.SetShard(nil)
-		return
+	f.shard = nil
+	if s != nil {
+		f.shard = &obs.Shard{}
 	}
-	f.shard = &obs.Shard{}
 	f.store.SetShard(f.shard)
-	f.oracleCk.SetShard(f.shard)
-	f.invCk.SetShard(f.shard)
+	if f.oracleCk != nil {
+		f.oracleCk.SetShard(f.shard)
+	}
+	if f.invCk != nil {
+		f.invCk.SetShard(f.shard)
+	}
 }
 
 // obsStart emits the trace's session header.

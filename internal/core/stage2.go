@@ -64,6 +64,10 @@ func (f *Fuzzer) runStage2(res *Result) {
 	res.Repros = f.repros
 	res.Stage2Campaigns = f.stage2Campaigns
 	res.Stage2Execs = f.stage2Execs
+	res.InvariantSet = f.invSet
+	res.InvariantChecks = f.invStats.checks
+	res.InvariantViolations = f.invStats.violations
+	res.InvariantsDropped = f.invStats.dropped
 }
 
 // runCampaign executes one stage-2 sub-campaign from a promoted crash
@@ -147,9 +151,9 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, perBudget int
 
 // newCampaign builds the sub-campaign fuzzer: a fresh engine with
 // per-stage scoped virgin maps and queue, sharing the session's image
-// store, clock, telemetry, recovery virgin, and fault buckets. Its
-// corpus is the workload seed inputs plus the promoted entry's own
-// input, all starting from the recovered image.
+// store, clock, telemetry, recovery virgin, fault buckets, checkers, and
+// frozen invariant set. Its corpus is the workload seed inputs plus the
+// promoted entry's own input, all starting from the recovered image.
 func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign int, perBudget int64) *Fuzzer {
 	cfg := f.cfg
 	cfg.Workers = f.cfg.Stage2Workers
@@ -173,7 +177,11 @@ func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign
 	child.faultMsgs = f.faultMsgs
 	child.tele = f.tele
 	child.shard = f.shard
-	child.oracleCk.SetShard(f.shard)
+	// Campaigns judge on the session's checkers (timed on its shard) and
+	// against its frozen invariant set; self-validation drops any rule a
+	// recovered-image case refutes, as for fleet-adopted sets.
+	child.oracleCk, child.invCk = f.oracleCk, f.invCk
+	child.AdoptInvariantSet(f.invSet)
 	seeded := false
 	for _, e := range child.queue.Entries() {
 		e.ImageID = recID
@@ -193,11 +201,11 @@ func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign
 }
 
 // mergeCampaign folds a finished sub-campaign into the session: execs,
-// coverage (virgin merges and PM-path signature union), faults, repro
-// bundles, and the campaign corpus — re-parented under the promoted
-// entry and labeled Stage=2/Iter for the staged corpus layout. Crash
-// images the campaign found become the next promotion round's
-// candidates.
+// coverage (virgin merges and PM-path signature union), faults,
+// invariant-oracle counts, repro bundles, and the campaign corpus —
+// re-parented under the promoted entry and labeled Stage=2/Iter for the
+// staged corpus layout. Crash images the campaign found become the next
+// promotion round's candidates.
 func (f *Fuzzer) mergeCampaign(root *fuzz.Entry, child *Fuzzer, cres *Result, iter int) {
 	f.execs += cres.Execs
 	f.branchVirgin.MergeFrom(child.branchVirgin)
@@ -206,6 +214,9 @@ func (f *Fuzzer) mergeCampaign(root *fuzz.Entry, child *Fuzzer, cres *Result, it
 		f.pmPathSigs[sig] = struct{}{}
 	}
 	f.faults = append(f.faults, cres.Faults...)
+	f.invStats.checks += child.invStats.checks
+	f.invStats.violations += child.invStats.violations
+	f.invStats.dropped += child.invStats.dropped
 	for _, r := range cres.Repros {
 		if f.reproPrior+len(f.repros) < maxRepros {
 			f.repros = append(f.repros, r)

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pmfuzz/internal/fuzz"
 	"pmfuzz/internal/imgstore"
+	"pmfuzz/internal/obs"
 )
 
 // id fabricates a distinct image content ID for promotion-policy tests.
@@ -383,5 +387,69 @@ func TestPromotionClassDedup(t *testing.T) {
 	off := newPromoter(false, nil)
 	if !off.consider(entry(6, 42)) || !off.consider(entry(7, 42)) {
 		t.Fatalf("class dedup leaked into the disabled promoter")
+	}
+}
+
+// TestStage2InvariantCounts: stage-2 campaigns judge against the
+// session's frozen invariant set, and their checks count in the session
+// result — Result.InvariantChecks equals the check events in the trace,
+// and no campaign re-mines a set of its own.
+func TestStage2InvariantCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two-stage invariant session in -short mode")
+	}
+	cfg, err := DefaultConfig("btree", PMFuzzAll, 30_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1
+	cfg.Stage2Workers = 1
+	cfg.Stage2BudgetNS = 8_000_000
+	cfg.Stage2MaxCampaigns = 2
+	cfg.InvariantCheck = true
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	sess, err := obs.NewSession(obs.Config{
+		Workload: "btree", FuzzConfig: "pmfuzz", Workers: 1,
+		Seed: 42, BudgetNS: cfg.BudgetNS, TracePath: path,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetTelemetry(sess)
+	res := f.Run()
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checks, stage2Checks, freezes int
+	for _, line := range bytes.Split(tr, []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"t":"inv"`)) {
+			continue
+		}
+		if bytes.Contains(line, []byte(`"obs":`)) {
+			freezes++
+			continue
+		}
+		checks++
+		if bytes.Contains(line, []byte(`"stage":2`)) {
+			stage2Checks++
+		}
+	}
+	if stage2Checks == 0 {
+		t.Fatalf("no stage-2 invariant checks in the trace (%d checks overall)", checks)
+	}
+	if res.InvariantChecks != checks {
+		t.Fatalf("Result.InvariantChecks = %d, trace holds %d check events (%d in stage 2)",
+			res.InvariantChecks, checks, stage2Checks)
+	}
+	if freezes != 1 {
+		t.Fatalf("%d mined-set freezes, want the session's one", freezes)
 	}
 }

@@ -327,95 +327,3 @@ func Recover(tc TestCase, opts Options) *Result {
 	res, _ := run(tc, opts, nil)
 	return res
 }
-
-// NormalImage runs the test case without failures and returns the final
-// image — step ③'s "no failure" leg in the paper's Figure 11.
-func NormalImage(tc TestCase, opts Options) (*pmem.Image, error) {
-	tc.Injector = nil
-	res := Run(tc, opts)
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	if res.Panicked {
-		return nil, fmt.Errorf("executor: program faulted: %v", res.PanicVal)
-	}
-	return res.Image, nil
-}
-
-// CrashImages sweeps failure injection across the execution's ordering
-// points (every barrier) and, at probRate > 0, adds probabilistically
-// placed failures at arbitrary PM operations — the two-fold crash-image
-// generation strategy of §3.2. maxBarriers caps the sweep; the returned
-// results include crash images and taint sets.
-//
-// The barrier leg runs single-pass: one journaled execution, with each
-// barrier's result materialized from the copy-on-write delta journal.
-// Output is byte-identical to CrashImagesReexec (pinned by golden tests).
-func CrashImages(tc TestCase, opts Options, maxBarriers int, probRate float64, probSeeds int) []*Result {
-	var out []*Result
-	sw := SweepRun(tc, opts)
-	if sw.Clean.Faulted() {
-		// A faulting test case still yields its fault result; crash-image
-		// generation on top is meaningless.
-		return []*Result{sw.Clean}
-	}
-	barriers := sw.Barriers()
-	if maxBarriers > 0 && barriers > maxBarriers {
-		barriers = maxBarriers
-	}
-	for b := 1; b <= barriers; b++ {
-		if res := sw.Crash(b); res != nil {
-			out = append(out, res)
-		}
-	}
-	out = append(out, probCrashImages(tc, opts, probRate, probSeeds)...)
-	return out
-}
-
-// probCrashImages is the probabilistic leg of §3.2: failures at arbitrary
-// PM operations still require re-execution (the crash point is not an
-// ordering point), and stays identical between CrashImages and
-// CrashImagesReexec.
-func probCrashImages(tc TestCase, opts Options, probRate float64, probSeeds int) []*Result {
-	if probRate <= 0 {
-		return nil
-	}
-	var out []*Result
-	for s := 0; s < probSeeds; s++ {
-		tcp := tc
-		tcp.Injector = pmem.NewProbabilisticFailure(tc.Seed+int64(s)*7919, probRate)
-		res := Run(tcp, opts)
-		if res.Crashed {
-			out = append(out, res)
-		}
-	}
-	return out
-}
-
-// CrashImagesReexec is the original O(barriers × ops) sweep: re-execute
-// the full pre-failure input once per barrier with an injected
-// BarrierFailure and snapshot the whole device each time. It is kept as
-// the reference implementation the single-pass path is golden-tested
-// against, and as the baseline leg of BenchmarkCrashImageSweep.
-func CrashImagesReexec(tc TestCase, opts Options, maxBarriers int, probRate float64, probSeeds int) []*Result {
-	var out []*Result
-	// First, a clean run to learn how many barriers the execution has.
-	clean := Run(tc, opts)
-	if clean.Faulted() {
-		return []*Result{clean}
-	}
-	barriers := clean.Barriers
-	if maxBarriers > 0 && barriers > maxBarriers {
-		barriers = maxBarriers
-	}
-	for b := 1; b <= barriers; b++ {
-		tcb := tc
-		tcb.Injector = pmem.BarrierFailure{N: b}
-		res := Run(tcb, opts)
-		if res.Crashed {
-			out = append(out, res)
-		}
-	}
-	out = append(out, probCrashImages(tc, opts, probRate, probSeeds)...)
-	return out
-}

@@ -376,7 +376,7 @@ func DetectWithTools(res *core.Result, bg *bugs.Set, wantPerf bool, opts DetectO
 			}
 			n++
 			post := append(append([]byte(nil), tc.Input...), []byte("\nc\nCHECK\n")...)
-			reports := xfd.CheckPostSweep(tc, opts.MaxXFDBarriers, opts.XFDProbRate, opts.XFDProbSeeds, post)
+			reports, _ := xfd.Check(tc, opts.MaxXFDBarriers, opts.XFDProbRate, opts.XFDProbSeeds, post)
 			if len(reports) > 0 {
 				return Detection{Detected: true, By: "xfdetector: " + reports[0].Kind.String(), SimNS: entrySimNS(e)}
 			}

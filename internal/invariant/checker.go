@@ -6,7 +6,7 @@ import (
 	"fmt"
 
 	"pmfuzz/internal/executor"
-	"pmfuzz/internal/obs"
+	"pmfuzz/internal/judge"
 	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/trace"
 	"pmfuzz/internal/workloads"
@@ -42,48 +42,26 @@ type Options struct {
 }
 
 // Violation is one crash image that broke a mined invariant (or whose
-// recovery failed outright).
+// recovery failed outright). Its Kind is "order-violation",
+// "atomicity-violation", "value-mismatch", "recovery-fault", or
+// "recovery-error".
 type Violation struct {
-	Workload string
-	// Barrier is the ordering-point index of the injected failure; with
-	// PreFence set the crash fired in the flushed-but-unfenced window
-	// just before that barrier.
-	Barrier  int
-	PreFence bool
-	// Op is the PM-operation index of the failure.
-	Op int
-	// Commands is how many command lines had started when the failure
-	// fired.
-	Commands int
-	// Kind is "order-violation", "atomicity-violation",
-	// "value-mismatch", "recovery-fault", or "recovery-error".
-	Kind string
+	judge.Violation
 	// Inv is the violated rule in short form ("" for recovery faults).
-	Inv    string
-	Detail string
+	Inv string
 	// Image is a short content-hash prefix of the judged crash image,
 	// the image ID cross-oracle disagreement reports cite.
 	Image string
 }
 
 // String renders the violation for reports.
-func (v *Violation) String() string {
-	at := fmt.Sprintf("barrier %d", v.Barrier)
-	if v.PreFence {
-		at = fmt.Sprintf("pre-fence op %d", v.Op)
-	}
-	return fmt.Sprintf("[invariant] %s: crash at %s (op %d, %d commands started): %s: %s",
-		v.Workload, at, v.Op, v.Commands, v.Kind, v.Detail)
-}
+func (v *Violation) String() string { return v.Render("invariant") }
 
 // Report is the outcome of checking one test case against a set.
 type Report struct {
 	Workload string
 	// Barriers is the ordering-point count of the clean execution.
 	Barriers int
-	// Checked counts crash points judged (ordering rules always, value
-	// rules via recovery).
-	Checked int
 	// Skipped is non-empty when the case could not be judged.
 	Skipped    string
 	Violations []*Violation
@@ -94,39 +72,23 @@ type Report struct {
 	// and the checked program diverge (foreign set, changed flush/fence
 	// behavior).
 	Dropped []string
-	// Classes / ClassHits count value-leg equivalence classes and
-	// duplicate-class crash points (zero with Options.NoPrune).
-	Classes   int
-	ClassHits int
-	// Recoveries counts recovery executions actually run; MemoHits
-	// counts crash points answered from the per-scan image-hash memo.
-	Recoveries int
-	MemoHits   int
+	// Stats counts the crash points judged (ordering rules at every
+	// point, value rules via recovery), the value leg's representative
+	// classes (zero with Options.NoPrune), and its recoveries against
+	// memo answers.
+	judge.Stats
 }
 
-// Checker mines and judges invariants. Like the differential oracle's
-// checker it owns two executor arenas — one for journaled sweeps, one
-// for prefix validations and recovery replays — so repeated checks stay
-// off the allocation hot path. Not safe for concurrent use.
+// Checker mines and judges invariants on the shared judging pipeline:
+// the embedded judge.Driver owns the sweep arena, the arena prefix
+// validations and recovery replays run on, and the rep_check timing
+// shard. Not safe for concurrent use.
 type Checker struct {
-	sweepArena *executor.Arena
-	recArena   *executor.Arena
-	shard      *obs.Shard
+	judge.Driver
 }
 
 // NewChecker returns a reusable checker.
-func NewChecker() *Checker {
-	return &Checker{sweepArena: executor.NewArena(), recArena: executor.NewArena()}
-}
-
-// SetShard attaches a metrics shard for rep_check stage timing (nil
-// detaches). Safe on a nil Checker.
-func (c *Checker) SetShard(sh *obs.Shard) {
-	if c == nil {
-		return
-	}
-	c.shard = sh
-}
+func NewChecker() *Checker { return &Checker{} }
 
 // Observe mines one clean test case into m: the full execution plus
 // every command prefix (the zero-command prefix included) each count as
@@ -139,33 +101,52 @@ func (c *Checker) Observe(m *Miner, tc executor.TestCase, opts Options) error {
 	if m.workload != tc.Workload {
 		return fmt.Errorf("invariant: miner is for %q, case is for %q", m.workload, tc.Workload)
 	}
-	lines := splitLines(tc.Input)
+	err := c.prefixRuns(tc, opts, true, func(res *executor.Result) {
+		m.Observe(res.Trace.Events(), res.Image.Data)
+	})
+	if err != nil {
+		return fmt.Errorf("invariant: %w", err)
+	}
+	return nil
+}
+
+// prefixRuns executes tc's command prefixes lines[:0], lines[:1], … on
+// the recovery arena and hands each clean result to fn, stopping at the
+// first faulting prefix with its error. Mining (mine set) also runs the
+// whole stream and records PM-operation traces; self-validation reads
+// the whole run's image from its sweep and needs no traces.
+func (c *Checker) prefixRuns(tc executor.TestCase, opts Options, mine bool, fn func(*executor.Result)) error {
+	lines := judge.SplitLines(tc.Input)
 	maxCmds := opts.MaxCommands
 	if maxCmds <= 0 {
 		maxCmds = workloads.MaxCommands
 	}
-	if len(lines) > maxCmds {
-		lines = lines[:maxCmds]
+	lines = lines[:min(len(lines), maxCmds)]
+	n := len(lines)
+	if mine {
+		n++
 	}
-	for k := 0; k <= len(lines); k++ {
+	arena := c.Arena()
+	for k := 0; k < n; k++ {
 		ptc := tc
-		ptc.Input = joinLines(lines[:k])
+		ptc.Input = judge.JoinLines(lines[:k])
 		res := executor.Run(ptc, executor.Options{
-			Arena:       c.recArena,
-			RecordTrace: true,
+			Arena:       arena,
+			RecordTrace: mine,
 			MaxCommands: opts.MaxCommands,
 			MaxOps:      opts.MaxOps,
 		})
+		var err error
 		if res.Faulted() {
-			err := fmt.Errorf("invariant: prefix %d/%d faulted: panicked=%v err=%v",
-				k, len(lines), res.Panicked, res.Err)
-			c.recArena.RecycleImage(res.Image)
-			c.recArena.Recycle(res)
+			err = fmt.Errorf("prefix %d/%d faulted: panicked=%v err=%v", k, len(lines), res.Panicked, res.Err)
+		} else {
+			fn(res)
+		}
+		arena.RecycleImage(res.Image)
+		arena.Recycle(res)
+		if err != nil {
 			return err
 		}
-		m.Observe(res.Trace.Events(), res.Image.Data)
-		c.recArena.RecycleImage(res.Image)
-		c.recArena.Recycle(res)
 	}
 	return nil
 }
@@ -208,25 +189,19 @@ func (c *Checker) Check(tc executor.TestCase, set *Set, opts Options) *Report {
 		return rep
 	}
 
-	sw := executor.SweepRun(tc, executor.Options{
-		Arena:       c.sweepArena,
+	sw := c.Sweep(tc, executor.Options{
 		RecordTrace: true,
 		MaxCommands: opts.MaxCommands,
 		MaxOps:      opts.MaxOps,
-	})
-	defer c.sweepArena.Recycle(sw.Clean)
-	if sw.Clean.Faulted() {
-		rep.Skipped = fmt.Sprintf("clean execution faulted: panicked=%v err=%v", sw.Clean.Panicked, sw.Clean.Err)
+	}, opts.MaxBarriers)
+	defer sw.Close()
+	if rep.Skipped = sw.Skipped(); rep.Skipped != "" {
 		return rep
 	}
 	rep.Barriers = sw.Barriers()
-	maxB := opts.MaxBarriers
-	if maxB <= 0 || maxB > rep.Barriers {
-		maxB = rep.Barriers
-	}
 
 	an := analyze(sw.Clean.Trace.Events())
-	intervals, refuted := pairingIntervals(an, set, maxB)
+	intervals, refuted := pairingIntervals(an, set, sw.MaxBarrier())
 
 	// Self-validation: drop rules this case's own clean behavior
 	// refutes instead of flagging crash points with them.
@@ -254,62 +229,26 @@ func (c *Checker) Check(tc executor.TestCase, set *Set, opts Options) *Report {
 
 	values := activeValues(set, dropped)
 
-	fps := sw.Fingerprints(maxB, opts.PreFence)
+	points := sw.Points(opts.PreFence)
 
 	// Value leg: recover each (pruned, memoized) crash point's image and
-	// compare the at-rest result against the surviving constants.
-	valAt := make([][]*Violation, len(fps))
+	// compare the at-rest result against the surviving constants. It
+	// judges every point whatever MaxViolations is; the assembly below
+	// applies the cap.
+	var valAt judge.Findings[*Violation]
 	if len(values) > 0 {
-		memo := map[[32]byte][]*Violation{}
-		judge := func(fp executor.CrashFingerprint) []*Violation {
-			if vs, ok := memo[fp.FP.ImageHash]; ok {
-				rep.MemoHits++
-				return vs
-			}
-			vs := c.recoverJudge(tc, c.materialize(sw, fp), values, opts)
-			rep.Recoveries++
-			memo[fp.FP.ImageHash] = vs
-			return vs
-		}
-		if opts.NoPrune {
-			for i, fp := range fps {
-				valAt[i] = judge(fp)
-			}
-		} else {
-			seen := map[uint64]bool{}
-			repBad := false
-			for i, fp := range fps {
-				key := fp.SemanticKey()
-				if seen[key] {
-					rep.ClassHits++
-					continue
-				}
-				seen[key] = true
-				rep.Classes++
-				t0 := c.shard.Begin()
-				valAt[i] = judge(fp)
-				c.shard.End(obs.StageRepCheck, t0)
-				if len(valAt[i]) > 0 {
-					repBad = true
-					break
-				}
-			}
-			if repBad {
-				// A representative violated: attribution is unsound, so
-				// fall back to judging every member (memo answers the
-				// repeats). This reproduces the unpruned violation set.
-				for i, fp := range fps {
-					if valAt[i] == nil {
-						valAt[i] = judge(fp)
-					}
-				}
-			}
-		}
+		var memo judge.Memo[[]*Violation]
+		valAt, rep.Stats = judge.Judge(sw, points, &memo, judge.Plugin[[]*Violation, *Violation]{
+			Key:     func(p executor.CrashFingerprint) [32]byte { return p.FP.ImageHash },
+			Step:    func(crash *executor.Result) []*Violation { return c.recoverJudge(tc, crash, values, opts) },
+			Verdict: func(_ executor.CrashFingerprint, vs []*Violation) []*Violation { return vs },
+		}, !opts.NoPrune, 0)
+		rep.Checked = 0 // the assembly below counts the points it reaches
 	}
 
 	// Assembly: walk crash points in order, stamping ordering verdicts
 	// (interval membership) and value verdicts (recovery templates).
-	for i, fp := range fps {
+	for i, fp := range points {
 		rep.Checked++
 		var vs []*Violation
 		for _, in := range intervals {
@@ -324,21 +263,16 @@ func (c *Checker) Check(tc executor.TestCase, set *Set, opts Options) *Report {
 			if in.inv.Kind == Atomic {
 				kind = "atomicity-violation"
 			}
-			vs = append(vs, &Violation{
+			vs = append(vs, &Violation{Inv: in.inv.Short(), Violation: judge.Violation{
 				Kind: kind,
-				Inv:  in.inv.Short(),
 				Detail: fmt.Sprintf("%s: stores persist at barriers %s and %s",
 					in.inv.Short(), barrierStr(in.pa), barrierStr(in.pb)),
-			})
+			}})
 		}
-		vs = append(vs, valAt[i]...)
+		vs = append(vs, valAt.At(i)...)
 		for _, tmpl := range vs {
 			v := *tmpl
-			v.Workload = tc.Workload
-			v.Barrier = fp.Barrier
-			v.PreFence = fp.PreFence
-			v.Op = fp.Op
-			v.Commands = fp.Commands
+			v.At(tc.Workload, fp)
 			v.Image = hex.EncodeToString(fp.FP.ImageHash[:6])
 			rep.Violations = append(rep.Violations, &v)
 			if opts.MaxViolations > 0 && len(rep.Violations) >= opts.MaxViolations {
@@ -454,47 +388,11 @@ func (c *Checker) validateValues(tc executor.TestCase, set *Set, fullImg *pmem.I
 		}
 	}
 	check(fullImg.Data)
-	lines := splitLines(tc.Input)
-	maxCmds := opts.MaxCommands
-	if maxCmds <= 0 {
-		maxCmds = workloads.MaxCommands
-	}
-	if len(lines) > maxCmds {
-		lines = lines[:maxCmds]
-	}
-	for k := 0; k < len(lines); k++ {
-		ptc := tc
-		ptc.Input = joinLines(lines[:k])
-		res := executor.Run(ptc, executor.Options{
-			Arena:       c.recArena,
-			MaxCommands: opts.MaxCommands,
-			MaxOps:      opts.MaxOps,
-		})
-		if res.Faulted() {
-			rep.Skipped = fmt.Sprintf("prefix %d/%d execution faulted: panicked=%v err=%v",
-				k, len(lines), res.Panicked, res.Err)
-			c.recArena.RecycleImage(res.Image)
-			c.recArena.Recycle(res)
-			return false
-		}
-		check(res.Image.Data)
-		c.recArena.RecycleImage(res.Image)
-		c.recArena.Recycle(res)
+	if err := c.prefixRuns(tc, opts, false, func(res *executor.Result) { check(res.Image.Data) }); err != nil {
+		rep.Skipped = err.Error()
+		return false
 	}
 	return true
-}
-
-// materialize resolves a fingerprinted crash point to its Result,
-// stamping the journal-derived content hash so judging never rehashes.
-func (c *Checker) materialize(sw *executor.SweepResult, fp executor.CrashFingerprint) *executor.Result {
-	var res *executor.Result
-	if fp.PreFence {
-		res = sw.PreFenceCrash(fp.Barrier)
-	} else {
-		res = sw.Crash(fp.Barrier)
-	}
-	res.Image.SetPrecomputedHash(fp.FP.ImageHash)
-	return res
 }
 
 // recoverJudge recovers one crash image (Setup with no commands, the
@@ -507,21 +405,22 @@ func (c *Checker) materialize(sw *executor.SweepResult, fp executor.CrashFingerp
 // templates: Kind/Inv/Detail set, crash-point fields stamped later.
 func (c *Checker) recoverJudge(tc executor.TestCase, crash *executor.Result, values []*Invariant, opts Options) []*Violation {
 	rtc := executor.TestCase{Workload: tc.Workload, Image: crash.Image, Bugs: tc.Bugs, Seed: tc.Seed}
+	arena := c.Arena()
 	res := executor.Run(rtc, executor.Options{
-		Arena:       c.recArena,
+		Arena:       arena,
 		RecordTrace: true,
 		MaxCommands: -1,
 		MaxOps:      opts.MaxOps,
 	})
 	defer func() {
-		c.recArena.RecycleImage(res.Image)
-		c.recArena.Recycle(res)
+		arena.RecycleImage(res.Image)
+		arena.Recycle(res)
 	}()
 	switch {
 	case res.Panicked:
-		return []*Violation{{Kind: "recovery-fault", Detail: fmt.Sprint(res.PanicVal)}}
+		return []*Violation{{Violation: judge.Violation{Kind: "recovery-fault", Detail: fmt.Sprint(res.PanicVal)}}}
 	case res.Err != nil:
-		return []*Violation{{Kind: "recovery-error", Detail: res.Err.Error()}}
+		return []*Violation{{Violation: judge.Violation{Kind: "recovery-error", Detail: res.Err.Error()}}}
 	}
 	for _, ev := range res.Trace.Events() {
 		if (ev.Kind == trace.Store || ev.Kind == trace.NTStore) && !ev.Internal {
@@ -531,21 +430,15 @@ func (c *Checker) recoverJudge(tc executor.TestCase, crash *executor.Result, val
 	var out []*Violation
 	data := res.Image.Data
 	for _, iv := range values {
+		var detail string
 		if iv.Off+iv.Len > len(data) {
-			out = append(out, &Violation{
-				Kind: "value-mismatch", Inv: iv.Short(),
-				Detail: fmt.Sprintf("%s: recovered image too small (%d bytes)", iv.Short(), len(data)),
-			})
+			detail = fmt.Sprintf("%s: recovered image too small (%d bytes)", iv.Short(), len(data))
+		} else if got := data[iv.Off : iv.Off+iv.Len]; !bytes.Equal(got, iv.Data) {
+			detail = fmt.Sprintf("%s: at rest after recovery got %s, want %s", iv.Short(), hexTrunc(got), hexTrunc(iv.Data))
+		} else {
 			continue
 		}
-		got := data[iv.Off : iv.Off+iv.Len]
-		if !bytes.Equal(got, iv.Data) {
-			out = append(out, &Violation{
-				Kind: "value-mismatch", Inv: iv.Short(),
-				Detail: fmt.Sprintf("%s: at rest after recovery got %s, want %s",
-					iv.Short(), hexTrunc(got), hexTrunc(iv.Data)),
-			})
-		}
+		out = append(out, &Violation{Inv: iv.Short(), Violation: judge.Violation{Kind: "value-mismatch", Detail: detail}})
 	}
 	return out
 }
@@ -556,22 +449,4 @@ func hexTrunc(b []byte) string {
 		return hex.EncodeToString(b)
 	}
 	return hex.EncodeToString(b[:16]) + "..."
-}
-
-// splitLines splits a command input on newlines (the executor's rule).
-func splitLines(input []byte) [][]byte {
-	var lines [][]byte
-	rest := input
-	for {
-		i := bytes.IndexByte(rest, '\n')
-		if i < 0 {
-			return append(lines, rest)
-		}
-		lines = append(lines, rest[:i])
-		rest = rest[i+1:]
-	}
-}
-
-func joinLines(lines [][]byte) []byte {
-	return bytes.Join(lines, []byte("\n"))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pmfuzz/internal/executor"
+	"pmfuzz/internal/judge"
 	"pmfuzz/internal/workloads"
 	"pmfuzz/internal/workloads/bugs"
 )
@@ -303,10 +304,10 @@ func TestMinerPrefixSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mining failed: %v", err)
 			}
-			lines := splitLines(tc.Input)
+			lines := judge.SplitLines(tc.Input)
 			for k := 0; k <= len(lines); k++ {
 				ptc := tc
-				ptc.Input = joinLines(lines[:k])
+				ptc.Input = judge.JoinLines(lines[:k])
 				res := executor.Run(ptc, executor.Options{RecordTrace: true})
 				if res.Faulted() {
 					t.Fatalf("prefix %d faulted: panicked=%v err=%v", k, res.Panicked, res.Err)

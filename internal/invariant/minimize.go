@@ -2,97 +2,39 @@ package invariant
 
 import (
 	"pmfuzz/internal/executor"
+	"pmfuzz/internal/judge"
 	"pmfuzz/internal/oracle"
-	"pmfuzz/internal/workloads/bugs"
 )
-
-// enabledBugs enumerates the active bug flags for bundle metadata
-// (mirrors the differential oracle's unexported helper).
-func enabledBugs(set *bugs.Set) (syn []int, real []int) {
-	if set == nil {
-		return nil, nil
-	}
-	for id := 1; id <= 64; id++ {
-		if set.Syn(id) {
-			syn = append(syn, id)
-		}
-	}
-	for b := bugs.RealBug(1); b <= bugs.NumRealBugs; b++ {
-		if set.Real(b) {
-			real = append(real, int(b))
-		}
-	}
-	return syn, real
-}
 
 // Minimize shrinks a violating test case to a replayable repro bundle,
 // reusing the differential oracle's bundle format so invariant findings
-// flow through the same repro pipeline. Same shape as oracle.Minimize:
-// truncate to the commands the violation needed, then ddmin over the
-// remaining command lines. Ordering violations are judged analytically
-// per crash point, so the earliest-violation probe already lands on the
-// first bad barrier — no separate barrier bisection pass is needed.
-// Returns nil if the violation stops reproducing (flaky).
+// flow through the same repro pipeline, and the shared minimizer
+// (judge.Shrink: truncation, then ddmin over command lines), every
+// candidate re-validated by a check for its first violation. Ordering
+// violations are judged analytically per crash point, so the
+// earliest-violation probe already lands on the first bad barrier — no
+// barrier bisection pass is needed. Returns nil if the violation stops
+// reproducing (flaky).
 func (c *Checker) Minimize(tc executor.TestCase, v *Violation, set *Set, opts Options) *oracle.Bundle {
 	opts.NoPrune = true
 	opts.PreFence = opts.PreFence || v.PreFence
-	origLen := len(tc.Input)
-	origBarrier := v.Barrier
-
-	// Pass 1: drop every command after the one the violation fired in.
-	lines := splitLines(tc.Input)
-	if v.Commands > 0 && v.Commands < len(lines) {
-		if cand := joinLines(lines[:v.Commands]); c.firstViolation(tc, cand, set, opts) != nil {
-			tc.Input = cand
-			lines = lines[:v.Commands]
+	opts.MaxViolations = 1
+	input, cur := judge.Shrink(tc.Input, v.Commands, nil, func(input []byte) *Violation {
+		probe := tc
+		probe.Input = input
+		if rep := c.Check(probe, set, opts); len(rep.Violations) > 0 {
+			return rep.Violations[0]
 		}
-	}
-	cur := c.firstViolation(tc, tc.Input, set, opts)
+		return nil
+	})
 	if cur == nil {
 		return nil
 	}
-
-	// Pass 2: ddmin over command lines.
-	if len(lines) > 1 {
-		granularity := 2
-		for granularity <= len(lines) {
-			chunk := (len(lines) + granularity - 1) / granularity
-			reduced := false
-			for start := 0; start < len(lines); start += chunk {
-				end := min(start+chunk, len(lines))
-				rest := make([][]byte, 0, len(lines)-(end-start))
-				rest = append(rest, lines[:start]...)
-				rest = append(rest, lines[end:]...)
-				if len(rest) == 0 {
-					continue
-				}
-				if nv := c.firstViolation(tc, joinLines(rest), set, opts); nv != nil {
-					lines = rest
-					cur = nv
-					reduced = true
-					break
-				}
-			}
-			if reduced {
-				granularity = max(granularity-1, 2)
-				if len(lines) <= 1 {
-					break
-				}
-				continue
-			}
-			if granularity >= len(lines) {
-				break
-			}
-			granularity = min(granularity*2, len(lines))
-		}
-		tc.Input = joinLines(lines)
-	}
-
-	syn, real := enabledBugs(tc.Bugs)
+	syn, real := tc.Bugs.Enabled()
 	return &oracle.Bundle{
 		Workload:     tc.Workload,
 		Seed:         tc.Seed,
-		Input:        tc.Input,
+		Input:        input,
 		StartImage:   tc.Image,
 		Barrier:      cur.Barrier,
 		PreFence:     cur.PreFence,
@@ -103,23 +45,9 @@ func (c *Checker) Minimize(tc executor.TestCase, v *Violation, set *Set, opts Op
 		Invariant:    cur.Inv,
 		SynBugs:      syn,
 		RealBugs:     real,
-		OrigInputLen: origLen,
-		OrigBarrier:  origBarrier,
+		OrigInputLen: len(tc.Input),
+		OrigBarrier:  v.Barrier,
 	}
-}
-
-// firstViolation checks input in place of tc.Input and returns the
-// earliest violation (crash points are judged in sweep order), nil if
-// the case is clean or could not be judged.
-func (c *Checker) firstViolation(tc executor.TestCase, input []byte, set *Set, opts Options) *Violation {
-	ntc := tc
-	ntc.Input = input
-	opts.MaxViolations = 1
-	rep := c.Check(ntc, set, opts)
-	if len(rep.Violations) == 0 {
-		return nil
-	}
-	return rep.Violations[0]
 }
 
 // ReplayBundle re-checks a repro bundle against a mined set, scanning

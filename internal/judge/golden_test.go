@@ -222,7 +222,7 @@ func captureCase(t *testing.T, name string, tc executor.TestCase) caseGolden {
 // xfdCheck is the cross-failure checker's full sweep with its work
 // accounting.
 func xfdCheck(tc executor.TestCase) ([]xfd.Report, xfd.SweepStats) {
-	return xfd.CheckPostSweepStats(tc, 0, 0, 0, nil, false)
+	return xfd.Check(tc, 0, 0, 0, nil)
 }
 
 // TestJudgeGolden pins what the differential oracle, the invariant

@@ -75,6 +75,13 @@ func (b *Bundle) BugSet() *bugs.Set {
 	return set
 }
 
+// Key identifies the bundle's minimized outcome — verdict kind, crash
+// point, violated rule, and input — the identity judge.Distinct keeps
+// one bundle per.
+func (b *Bundle) Key() string {
+	return fmt.Sprintf("%s|%d|%t|%s|%s", b.Kind, b.Barrier, b.PreFence, b.Invariant, b.Input)
+}
+
 // TestCase rebuilds the executor test case the bundle reproduces.
 func (b *Bundle) TestCase() executor.TestCase {
 	return executor.TestCase{

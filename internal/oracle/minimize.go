@@ -2,59 +2,34 @@ package oracle
 
 import (
 	"pmfuzz/internal/executor"
-	"pmfuzz/internal/workloads"
+	"pmfuzz/internal/judge"
 )
 
-// This file shrinks an oracle violation into a minimal repro. Three
-// passes, each re-validated against the oracle so the result is always a
-// genuine violation:
-//
-//  1. Truncation — a crash image depends only on the command prefix
-//     executed before the failure, so every line after the in-flight
-//     command (index Commands-1) is dead weight and can be dropped
-//     soundly in one step.
-//  2. ddmin over the remaining command lines (complement-removal
-//     delta debugging, Zeller-style): repeatedly delete chunks while the
-//     stream still produces some oracle violation. The violation kind may
-//     shift during shrinking (e.g. state-mismatch → recovery-fault);
-//     any violation keeps the candidate — a repro bundle reproduces *a*
-//     crash-consistency failure, and the final verdict is re-recorded.
-//  3. Bisection over the sweep's crash points to move the failure
-//     barrier as early as possible. Single-barrier probes assume the
-//     violating suffix is contiguous; when it is not, bisection may miss
-//     the global minimum, but the returned barrier is always re-verified
-//     violating, so the bundle stays sound either way.
-
-// Minimize shrinks violation v of tc into a repro bundle. The minimized
-// input is always a subsequence of tc.Input's lines (never larger), and
-// the recorded barrier is verified violating on the minimized stream.
+// Minimize shrinks violation v of tc into a repro bundle with the shared
+// minimizer (judge.Shrink: truncation, then ddmin over command lines),
+// every candidate re-validated by a scan for its first violation, then
+// bisects the crash point toward the earliest violating barrier of the
+// minimized stream. The minimized input is always a subsequence of
+// tc.Input's lines (never larger), and the recorded barrier is verified
+// violating on the minimized stream.
 func (c *Checker) Minimize(tc executor.TestCase, v *Violation, opts Options) *Bundle {
 	// Minimization probes run unpruned: every candidate verdict comes
 	// from individually judged crash points, so repro bundles stay
 	// byte-identical to the pre-pruning minimizer's regardless of how the
 	// violation was first found.
 	opts.NoPrune = true
-	origLen := len(tc.Input)
-	origBarrier := v.Barrier
-	lines := splitLines(tc.Input)
-
-	// Pass 1: truncate everything after the in-flight command.
-	if v.Commands < len(lines) {
-		cand := lines[:v.Commands]
-		if vv := c.firstViolation(tc, joinLines(cand), opts); vv != nil {
-			lines, v = cand, vv
+	origLen, origBarrier := len(tc.Input), v.Barrier
+	input, v := judge.Shrink(tc.Input, v.Commands, v, func(input []byte) *Violation {
+		probe := tc
+		probe.Input = input
+		if rep := c.scan(probe, opts, 0, 1); len(rep.Violations) > 0 {
+			return rep.Violations[0]
 		}
-	}
-
-	// Pass 2: ddmin over the surviving lines.
-	lines, v = c.ddmin(tc, lines, v, opts)
-	input := joinLines(lines)
-
-	// Pass 3: bisect the crash point toward the earliest violating
-	// barrier of the minimized stream.
+		return nil
+	})
 	v = c.earliestBarrier(tc, input, v, opts)
 
-	syn, real := enabledBugs(tc.Bugs)
+	syn, real := tc.Bugs.Enabled()
 	return &Bundle{
 		Workload:     tc.Workload,
 		Seed:         tc.Seed,
@@ -76,102 +51,22 @@ func (c *Checker) Minimize(tc executor.TestCase, v *Violation, opts Options) *Bu
 	}
 }
 
-// firstViolation scans input in tc's context and returns the earliest
-// violation, or nil when the stream is clean (or cannot be judged).
-func (c *Checker) firstViolation(tc executor.TestCase, input []byte, opts Options) *Violation {
-	tc.Input = input
-	rep := c.scan(tc, opts, 0, 1)
-	if rep.Skipped != "" || len(rep.Violations) == 0 {
-		return nil
-	}
-	return rep.Violations[0]
-}
-
-// ddmin runs complement-removal delta debugging over the command lines,
-// keeping any candidate that still violates the oracle.
-func (c *Checker) ddmin(tc executor.TestCase, lines [][]byte, v *Violation, opts Options) ([][]byte, *Violation) {
-	granularity := 2
-	for len(lines) >= 2 {
-		chunk := (len(lines) + granularity - 1) / granularity
-		reduced := false
-		for start := 0; start < len(lines); start += chunk {
-			end := min(start+chunk, len(lines))
-			cand := make([][]byte, 0, len(lines)-(end-start))
-			cand = append(cand, lines[:start]...)
-			cand = append(cand, lines[end:]...)
-			if vv := c.firstViolation(tc, joinLines(cand), opts); vv != nil {
-				lines, v = cand, vv
-				granularity = max(granularity-1, 2)
-				reduced = true
-				break
-			}
-		}
-		if !reduced {
-			if granularity >= len(lines) {
-				break
-			}
-			granularity = min(granularity*2, len(lines))
-		}
-	}
-	return lines, v
-}
-
-// earliestBarrier bisects the sweep's crash points of the (already
-// minimized) input toward the earliest violating barrier, probing single
-// barriers against one persistent sweep — backward seeks rebuild from
-// the journal base, so out-of-order probes are safe. Every accepted
-// midpoint was itself judged violating; on any inconsistency the search
-// falls back to the last verified violation.
+// earliestBarrier bisects the crash points of v's kind on the (already
+// minimized) input toward the earliest violating barrier
+// (judge.Earliest). Every accepted midpoint was itself judged violating;
+// when none is, or the input cannot be judged, v stands.
 func (c *Checker) earliestBarrier(tc executor.TestCase, input []byte, v *Violation, opts Options) *Violation {
 	if v.Barrier <= 1 {
 		return v
 	}
 	tc.Input = input
-
-	base, bv := c.recoverDump(tc, tc.Image, opts)
-	if bv != nil {
+	k, skip := c.prepare(tc, opts, 0)
+	if skip != "" {
 		return v
 	}
-	maxCmds := opts.MaxCommands
-	if maxCmds <= 0 {
-		maxCmds = workloads.MaxCommands
+	defer k.sw.Close()
+	if best := judge.Earliest(k.sw, k.plugin(), v.PreFence, v.Barrier); best != nil {
+		return best[0]
 	}
-	prefixes, err := prefixStates(tc.Workload, base, splitLines(input), maxCmds)
-	if err != nil {
-		return v
-	}
-	sw := executor.SweepRun(tc, executor.Options{
-		Arena:       c.sweepArena,
-		MaxCommands: opts.MaxCommands,
-		MaxOps:      opts.MaxOps,
-	})
-	defer c.sweepArena.Recycle(sw.Clean)
-	if sw.Clean.Faulted() {
-		return v
-	}
-
-	probe := func(b int) *Violation {
-		var res *executor.Result
-		if v.PreFence {
-			res = sw.PreFenceCrash(b)
-		} else {
-			res = sw.Crash(b)
-		}
-		if res == nil {
-			return nil
-		}
-		return c.judge(tc, res, b, v.PreFence, prefixes, opts, nil)
-	}
-
-	best := v
-	lo, hi := 1, min(v.Barrier, sw.Barriers())
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if vv := probe(mid); vv != nil {
-			best, hi = vv, mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return best
+	return v
 }

@@ -5,10 +5,9 @@ import (
 	"strings"
 
 	"pmfuzz/internal/executor"
-	"pmfuzz/internal/obs"
+	"pmfuzz/internal/judge"
 	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/workloads"
-	"pmfuzz/internal/workloads/bugs"
 )
 
 // Options tunes one oracle check.
@@ -39,25 +38,13 @@ type Options struct {
 	NoPrune bool
 }
 
-// Violation is one crash image the oracle could not explain.
+// Violation is one crash image the oracle could not explain. Its Kind
+// is "recovery-fault" (recovery panicked — the segfault analog),
+// "recovery-error" (recovery or the workload's own consistency check
+// reported an error), or "state-mismatch" (recovered state equals no
+// explainable prefix state).
 type Violation struct {
-	Workload string
-	// Barrier is the ordering-point index of the injected failure; with
-	// PreFence set the crash fired in the flushed-but-unfenced window
-	// just before that barrier.
-	Barrier  int
-	PreFence bool
-	// Op is the PM-operation index of the failure.
-	Op int
-	// Commands is how many command lines had started when the failure
-	// fired; command Commands-1 is the in-flight one.
-	Commands int
-	// Kind is "recovery-fault" (recovery panicked — the segfault analog),
-	// "recovery-error" (recovery or the workload's own consistency check
-	// reported an error), or "state-mismatch" (recovered state equals no
-	// explainable prefix state).
-	Kind   string
-	Detail string
+	judge.Violation
 	// For state-mismatch: the two explainable states (in-flight command
 	// absent / applied) and what recovery actually produced.
 	Expected     []workloads.KV
@@ -66,69 +53,49 @@ type Violation struct {
 }
 
 // String renders the violation for reports.
-func (v *Violation) String() string {
-	at := fmt.Sprintf("barrier %d", v.Barrier)
-	if v.PreFence {
-		at = fmt.Sprintf("pre-fence op %d", v.Op)
-	}
-	return fmt.Sprintf("[oracle] %s: crash at %s (op %d, %d commands started): %s: %s",
-		v.Workload, at, v.Op, v.Commands, v.Kind, v.Detail)
-}
+func (v *Violation) String() string { return v.Render("oracle") }
 
 // Report is the outcome of checking one test case.
 type Report struct {
 	Workload string
 	// Barriers is the ordering-point count of the clean execution.
 	Barriers int
-	// Checked counts crash images validated.
-	Checked int
 	// Skipped is non-empty when the oracle could not judge the test case
 	// (unknown workload, faulting clean run, unrecoverable start image).
 	Skipped    string
 	Violations []*Violation
-	// Bundles holds one minimized repro per violation when
-	// Options.Minimize was set.
+	// Bundles holds one minimized repro per distinct minimized outcome
+	// when Options.Minimize was set.
 	Bundles []*Bundle
-	// Classes / ClassHits count the equivalence classes and the
-	// duplicate-class crash points seen by the representative pass (both
-	// zero with Options.NoPrune).
-	Classes   int
-	ClassHits int
-	// Recoveries counts recovery executions actually run (the baseline
-	// included); MemoHits counts crash points answered from the per-scan
-	// recovery memo instead — identical images never recover twice.
-	Recoveries int
-	MemoHits   int
+	// Stats counts the crash images validated, the representative pass's
+	// classes (zero with Options.NoPrune), and the recoveries run — the
+	// baseline included — against memo answers.
+	judge.Stats
 }
 
-// Checker runs differential crash-consistency checks. It owns two
-// executor arenas — one for journaled sweep executions, one for recovery
-// replays — so repeated checks stay off the allocation hot path (the
-// sweep's copy-on-write journal snapshots its base image, which is what
-// makes interleaving recovery replays with crash-image materialization
-// on resident devices safe). Not safe for concurrent use.
+// Checker runs differential crash-consistency checks on the shared
+// judging pipeline: the embedded judge.Driver owns the sweep and
+// recovery arenas and the rep_check timing shard. Not safe for
+// concurrent use.
 type Checker struct {
-	sweepArena *executor.Arena
-	recArena   *executor.Arena
-	// shard, when attached, times representative checks under the
-	// rep_check stage (nil-safe; the oracle stays off the simulated
-	// clock either way).
-	shard *obs.Shard
+	judge.Driver
 }
 
 // NewChecker returns a reusable checker.
-func NewChecker() *Checker {
-	return &Checker{sweepArena: executor.NewArena(), recArena: executor.NewArena()}
-}
+func NewChecker() *Checker { return &Checker{} }
 
-// SetShard attaches a metrics shard for rep_check stage timing (nil
-// detaches). Safe on a nil Checker so callers with the oracle disabled
-// never guard.
-func (c *Checker) SetShard(sh *obs.Shard) {
-	if c == nil {
-		return
+// Judgeable says why the oracle cannot judge the workload, nil when it
+// can: it needs the workload's state-dump hook and a shadow model.
+func Judgeable(workload string) error {
+	prog, err := workloads.New(workload)
+	if err != nil {
+		return err
 	}
-	c.shard = sh
+	if _, ok := prog.(workloads.StateDumper); !ok {
+		return fmt.Errorf("oracle: workload %q has no state-dump hook", workload)
+	}
+	_, err = CheckLine(workload)
+	return err
 }
 
 // Check validates every crash image of tc's barrier sweep with a fresh
@@ -145,285 +112,148 @@ func Check(tc executor.TestCase, opts Options) *Report {
 func (c *Checker) Check(tc executor.TestCase, opts Options) *Report {
 	rep := c.scan(tc, opts, opts.MaxBarriers, opts.MaxViolations)
 	if opts.Minimize {
-		// Neighbouring crash points usually shrink to the same repro;
-		// keep one bundle per distinct minimized outcome.
-		seen := map[string]bool{}
-		for _, v := range rep.Violations {
-			b := c.Minimize(tc, v, opts)
-			key := fmt.Sprintf("%s|%d|%t|%s", b.Kind, b.Barrier, b.PreFence, b.Input)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			rep.Bundles = append(rep.Bundles, b)
-		}
+		rep.Bundles = judge.Distinct(rep.Violations, func(v *Violation) *Bundle {
+			return c.Minimize(tc, v, opts)
+		})
 	}
 	return rep
 }
 
-// scanState carries one scan's recovery memo and accounting. The memo is
-// keyed by image content hash: within a scan the workload, bug flags,
-// seed, and op cap are fixed, so identical images recover identically.
-type scanState struct {
-	memo       map[[32]byte]memoEntry
-	recoveries int
-	memoHits   int
-}
-
-type memoEntry struct {
+// recovered is the oracle's per-image step: the recovered durable
+// state, or the recovery's own failure (Kind/Detail only).
+type recovered struct {
 	dump []workloads.KV
-	v    *Violation
+	v    *judge.Violation
 }
 
-// scan is the shared sweep-and-judge loop behind Check and the
-// minimizer's re-validation probes. maxB caps the barrier range scanned
-// ([1..maxB]); maxV stops after that many violations. Violations come
-// back in ascending crash-point order, so the first one is the earliest
-// explicable-state failure of the scanned window.
-//
-// With pruning on (the default), the scan fingerprints every crash point
-// from the sweep journal, groups points into equivalence classes by
-// semantic key, and judges only the first member of each class — the
-// representative. A scan whose representatives are all clean attributes
-// the clean verdict to every member and never recovers the rest. Any
-// representative violation abandons the attribution and re-runs the
-// whole window per member (recoveries already performed are answered
-// from the memo), reproducing the unpruned scan's violation set, order,
-// and early-stop semantics exactly.
-func (c *Checker) scan(tc executor.TestCase, opts Options, maxB, maxV int) *Report {
-	rep := &Report{Workload: tc.Workload}
-	prog, err := workloads.New(tc.Workload)
-	if err != nil {
-		rep.Skipped = err.Error()
-		return rep
-	}
-	if _, ok := prog.(workloads.StateDumper); !ok {
-		rep.Skipped = fmt.Sprintf("oracle: workload %q has no state-dump hook", tc.Workload)
-		return rep
-	}
-	if _, err := CheckLine(tc.Workload); err != nil {
-		rep.Skipped = err.Error()
-		return rep
-	}
+// shadowCheck is one test case prepared for judging: the shadow model's
+// prefix states, the recovery memo, and the journaled sweep. The memo
+// is keyed by image content hash: within one check the workload, bug
+// flags, seed, and op cap are fixed, so identical images recover
+// identically.
+type shadowCheck struct {
+	c        *Checker
+	tc       executor.TestCase
+	opts     Options
+	prefixes [][]workloads.KV
+	memo     judge.Memo[recovered]
+	sw       *judge.Sweep
+}
 
-	st := &scanState{memo: map[[32]byte]memoEntry{}}
-
-	// Baseline S₀: the recovered state of the start image. If the start
-	// image itself doesn't recover cleanly, nothing observed below could
-	// be attributed to the command stream. Seeding the memo with the
-	// start image's hash lets a sweep crash point that reproduces the
-	// start state reuse this recovery.
-	var base []workloads.KV
-	var bv *Violation
+// prepare recovers tc's start image into the baseline S₀, derives the
+// shadow prefix states from it, and sweeps tc with barriers capped at
+// maxB. It returns why the case cannot be judged instead when the
+// workload has no shadow model, the baseline does not recover cleanly
+// (then nothing observed could be attributed to the command stream), or
+// the clean run faults. The caller closes the sweep.
+func (c *Checker) prepare(tc executor.TestCase, opts Options, maxB int) (*shadowCheck, string) {
+	if err := Judgeable(tc.Workload); err != nil {
+		return nil, err.Error()
+	}
+	k := &shadowCheck{c: c, tc: tc, opts: opts}
+	// Seeding the memo with the start image's hash lets a crash point
+	// that reproduces the start state reuse the baseline recovery. A
+	// fresh device has no image: its zero key matches no crash image.
+	var key [32]byte
 	if tc.Image != nil {
-		base, bv = c.recoverDumpMemo(tc, tc.Image, tc.Image.Hash(), opts, st)
-	} else {
-		base, bv = c.recoverDump(tc, tc.Image, opts)
-		st.recoveries++
+		key = tc.Image.Hash()
 	}
-	if bv != nil {
-		rep.Skipped = "baseline recovery of start image not clean: " + bv.Detail
-		return rep
+	base := k.memo.Do(key, func() recovered { return k.step(tc.Image) })
+	if base.v != nil {
+		return nil, "baseline recovery of start image not clean: " + base.v.Detail
 	}
-
 	maxCmds := opts.MaxCommands
 	if maxCmds <= 0 {
 		maxCmds = workloads.MaxCommands
 	}
-	lines := splitLines(tc.Input)
-	prefixes, err := prefixStates(tc.Workload, base, lines, maxCmds)
-	if err != nil {
-		rep.Skipped = err.Error()
+	var err error
+	if k.prefixes, err = prefixStates(tc.Workload, base.dump, judge.SplitLines(tc.Input), maxCmds); err != nil {
+		return nil, err.Error()
+	}
+	k.sw = c.Sweep(tc, executor.Options{MaxCommands: opts.MaxCommands, MaxOps: opts.MaxOps}, maxB)
+	if skip := k.sw.Skipped(); skip != "" {
+		k.sw.Close()
+		return nil, skip
+	}
+	return k, ""
+}
+
+// plugin is the shadow-prefix judge: recover the crash image, then
+// compare the recovered state against the explainable prefix states.
+func (k *shadowCheck) plugin() judge.Plugin[recovered, *Violation] {
+	return judge.Plugin[recovered, *Violation]{
+		Key:     func(p executor.CrashFingerprint) [32]byte { return p.FP.ImageHash },
+		Step:    func(crash *executor.Result) recovered { return k.step(crash.Image) },
+		Verdict: k.verdict,
+	}
+}
+
+// scan is the sweep-and-judge pass behind Check, the minimizer's
+// re-validation probes, and bundle replay. maxB caps the barrier range
+// scanned ([1..maxB]); maxV stops after that many violations.
+// Violations come back in ascending crash-point order, so the first one
+// is the earliest explicable-state failure of the scanned window. Unless
+// opts.NoPrune, one representative per semantic class is judged first
+// (see judge.Judge); any violation re-runs the window per member,
+// reproducing the unpruned scan's violation set, order, and early stop.
+func (c *Checker) scan(tc executor.TestCase, opts Options, maxB, maxV int) *Report {
+	rep := &Report{Workload: tc.Workload}
+	k, skip := c.prepare(tc, opts, maxB)
+	if skip != "" {
+		rep.Skipped = skip
 		return rep
 	}
-
-	sw := executor.SweepRun(tc, executor.Options{
-		Arena:       c.sweepArena,
-		MaxCommands: opts.MaxCommands,
-		MaxOps:      opts.MaxOps,
-	})
-	defer c.sweepArena.Recycle(sw.Clean)
-	if sw.Clean.Faulted() {
-		rep.Skipped = fmt.Sprintf("clean execution faulted: panicked=%v err=%v", sw.Clean.Panicked, sw.Clean.Err)
-		return rep
+	defer k.sw.Close()
+	rep.Barriers = k.sw.Barriers()
+	found, st := judge.Judge(k.sw, k.sw.Points(opts.PreFence), &k.memo, k.plugin(), !opts.NoPrune, maxV)
+	for i := 0; i < st.Checked; i++ {
+		rep.Violations = append(rep.Violations, found.At(i)...)
 	}
-	rep.Barriers = sw.Barriers()
-	if maxB <= 0 || maxB > rep.Barriers {
-		maxB = rep.Barriers
-	}
-
-	if !opts.NoPrune {
-		fps := sw.Fingerprints(maxB, opts.PreFence)
-		if c.scanReps(tc, sw, fps, prefixes, opts, st, rep) {
-			rep.Recoveries, rep.MemoHits = st.recoveries, st.memoHits
-			return rep
-		}
-		// A representative violated: fall back to the full per-member
-		// pass below, driven by the same fingerprint sequence (it
-		// enumerates exactly the points the unpruned loop would judge, in
-		// the same order, and supplies their image hashes for the memo).
-		for _, fp := range fps {
-			res := c.materialize(sw, fp)
-			rep.Checked++
-			if v := c.judge(tc, res, fp.Barrier, fp.PreFence, prefixes, opts, st); v != nil {
-				rep.Violations = append(rep.Violations, v)
-				if maxV > 0 && len(rep.Violations) >= maxV {
-					break
-				}
-			}
-		}
-		rep.Recoveries, rep.MemoHits = st.recoveries, st.memoHits
-		return rep
-	}
-
-	for b := 1; b <= maxB; b++ {
-		if opts.PreFence {
-			// Before ImageData(b), so the cursor moves strictly forward.
-			if res := sw.PreFenceCrash(b); res != nil {
-				rep.Checked++
-				if v := c.judge(tc, res, b, true, prefixes, opts, st); v != nil {
-					rep.Violations = append(rep.Violations, v)
-					if maxV > 0 && len(rep.Violations) >= maxV {
-						rep.Recoveries, rep.MemoHits = st.recoveries, st.memoHits
-						return rep
-					}
-				}
-			}
-		}
-		res := sw.Crash(b)
-		if res == nil {
-			continue
-		}
-		rep.Checked++
-		if v := c.judge(tc, res, b, false, prefixes, opts, st); v != nil {
-			rep.Violations = append(rep.Violations, v)
-			if maxV > 0 && len(rep.Violations) >= maxV {
-				rep.Recoveries, rep.MemoHits = st.recoveries, st.memoHits
-				return rep
-			}
-		}
-	}
-	rep.Recoveries, rep.MemoHits = st.recoveries, st.memoHits
+	rep.Stats = st
 	return rep
 }
 
-// scanReps runs the representative pass: one judged member per semantic
-// class, verdict attributed to the whole class. Returns true when every
-// representative was clean (the scan is done, Checked covers all
-// members); false when one violated and the caller must fall back to
-// the full per-member pass.
-func (c *Checker) scanReps(tc executor.TestCase, sw *executor.SweepResult, fps []executor.CrashFingerprint, prefixes [][]workloads.KV, opts Options, st *scanState, rep *Report) bool {
-	seen := map[uint64]bool{}
-	for _, fp := range fps {
-		key := fp.SemanticKey()
-		if seen[key] {
-			rep.ClassHits++
-			continue
-		}
-		seen[key] = true
-		rep.Classes++
-		res := c.materialize(sw, fp)
-		t0 := c.shard.Begin()
-		v := c.judge(tc, res, fp.Barrier, fp.PreFence, prefixes, opts, st)
-		c.shard.End(obs.StageRepCheck, t0)
-		if v != nil {
-			return false
-		}
+// verdict decides whether a crash point's recovered state is
+// explainable against the shadow prefixes.
+func (k *shadowCheck) verdict(p executor.CrashFingerprint, e recovered) []*Violation {
+	v := &Violation{}
+	v.At(k.tc.Workload, p)
+	if e.v != nil {
+		v.Kind, v.Detail = e.v.Kind, e.v.Detail
+		return []*Violation{v}
 	}
-	rep.Checked = len(fps)
-	return true
-}
-
-// materialize resolves a fingerprinted crash point to its Result,
-// stamping the image with the journal-derived content hash so the
-// recovery memo never rehashes it. The fingerprint enumerates only
-// existing points, so the result is never nil.
-func (c *Checker) materialize(sw *executor.SweepResult, fp executor.CrashFingerprint) *executor.Result {
-	var res *executor.Result
-	if fp.PreFence {
-		res = sw.PreFenceCrash(fp.Barrier)
-	} else {
-		res = sw.Crash(fp.Barrier)
-	}
-	res.Image.SetPrecomputedHash(fp.FP.ImageHash)
-	return res
-}
-
-// judge recovers one crash image and decides whether the recovered state
-// is explainable against the shadow prefixes. st memoizes recoveries by
-// image hash (nil = no memoization; the minimizer's probes judge one
-// point at a time).
-func (c *Checker) judge(tc executor.TestCase, crash *executor.Result, barrier int, preFence bool, prefixes [][]workloads.KV, opts Options, st *scanState) *Violation {
-	var dump []workloads.KV
-	var rv *Violation
-	if st != nil {
-		dump, rv = c.recoverDumpMemo(tc, crash.Image, crash.Image.Hash(), opts, st)
-	} else {
-		dump, rv = c.recoverDump(tc, crash.Image, opts)
-	}
-	v := &Violation{
-		Workload: tc.Workload,
-		Barrier:  barrier,
-		PreFence: preFence,
-		Op:       crash.Crash.Op,
-		Commands: crash.Commands,
-	}
-	if rv != nil {
-		v.Kind, v.Detail = rv.Kind, rv.Detail
-		return v
-	}
-	cur := crash.Commands
-	if cur > len(prefixes)-1 {
-		cur = len(prefixes) - 1
-	}
-	prev := cur - 1
-	if prev < 0 {
-		prev = 0
-	}
-	if kvEqual(dump, prefixes[cur]) || kvEqual(dump, prefixes[prev]) {
+	cur := min(p.Commands, len(k.prefixes)-1)
+	prev := max(cur-1, 0)
+	if kvEqual(e.dump, k.prefixes[cur]) || kvEqual(e.dump, k.prefixes[prev]) {
 		return nil
 	}
 	v.Kind = "state-mismatch"
-	v.Expected, v.ExpectedNext, v.Actual = prefixes[prev], prefixes[cur], dump
-	v.Detail = diffString(prefixes[prev], prefixes[cur], dump)
-	return v
+	v.Expected, v.ExpectedNext, v.Actual = k.prefixes[prev], k.prefixes[cur], e.dump
+	v.Detail = diffString(k.prefixes[prev], k.prefixes[cur], e.dump)
+	return []*Violation{v}
 }
 
-// recoverDumpMemo is recoverDump memoized on the image's content hash
-// within one scan: repeated identical images — common across pre-fence
-// windows and no-op barriers — never recover twice.
-func (c *Checker) recoverDumpMemo(tc executor.TestCase, img *pmem.Image, key [32]byte, opts Options, st *scanState) ([]workloads.KV, *Violation) {
-	if e, ok := st.memo[key]; ok {
-		st.memoHits++
-		return e.dump, e.v
-	}
-	dump, rv := c.recoverDump(tc, img, opts)
-	st.recoveries++
-	st.memo[key] = memoEntry{dump: dump, v: rv}
-	return dump, rv
-}
-
-// recoverDump runs recovery (Setup with no commands) on img under tc's
-// bug flags and seed, dumps the recovered durable state, and executes
-// the workload's own consistency check. A recovery fault or check error
-// comes back as a partially filled Violation (Kind/Detail only).
-func (c *Checker) recoverDump(tc executor.TestCase, img *pmem.Image, opts Options) ([]workloads.KV, *Violation) {
-	checkLine, _ := CheckLine(tc.Workload)
+// step runs recovery (Setup with no commands) on img under the case's
+// bug flags, seed, and op cap, dumps the recovered durable state, and
+// executes the workload's own consistency check.
+func (k *shadowCheck) step(img *pmem.Image) recovered {
+	checkLine, _ := CheckLine(k.tc.Workload)
 	var dump []workloads.KV
 	probe := func(env *workloads.Env, prog workloads.Program) error {
 		dump = prog.(workloads.StateDumper).DumpState(env)
 		return prog.Exec(env, checkLine)
 	}
-	rtc := executor.TestCase{Workload: tc.Workload, Image: img, Bugs: tc.Bugs, Seed: tc.Seed}
-	res := executor.Run(rtc, executor.Options{Arena: c.recArena, MaxOps: opts.MaxOps, Probe: probe})
-	defer c.recArena.Recycle(res)
+	arena := k.c.Arena()
+	rtc := executor.TestCase{Workload: k.tc.Workload, Image: img, Bugs: k.tc.Bugs, Seed: k.tc.Seed}
+	res := executor.Run(rtc, executor.Options{Arena: arena, MaxOps: k.opts.MaxOps, Probe: probe})
+	defer arena.Recycle(res)
 	switch {
 	case res.Panicked:
-		return nil, &Violation{Kind: "recovery-fault", Detail: fmt.Sprint(res.PanicVal)}
+		return recovered{v: &judge.Violation{Kind: "recovery-fault", Detail: fmt.Sprint(res.PanicVal)}}
 	case res.Err != nil:
-		return nil, &Violation{Kind: "recovery-error", Detail: res.Err.Error()}
+		return recovered{v: &judge.Violation{Kind: "recovery-error", Detail: res.Err.Error()}}
 	}
-	return dump, nil
+	return recovered{dump: dump}
 }
 
 // diffString renders a compact expected-vs-actual diff for reports.
@@ -460,22 +290,4 @@ func diffString(prev, next, actual []workloads.KV) string {
 		fmt.Fprintf(&b, "; (+%d more)", shown-8)
 	}
 	return b.String()
-}
-
-// enabledBugs enumerates the active bug flags for bundle metadata.
-func enabledBugs(set *bugs.Set) (syn []int, real []int) {
-	if set == nil {
-		return nil, nil
-	}
-	for id := 1; id <= 64; id++ {
-		if set.Syn(id) {
-			syn = append(syn, id)
-		}
-	}
-	for b := bugs.RealBug(1); b <= bugs.NumRealBugs; b++ {
-		if set.Real(b) {
-			real = append(real, int(b))
-		}
-	}
-	return syn, real
 }

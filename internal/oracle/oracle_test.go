@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pmfuzz/internal/executor"
+	"pmfuzz/internal/judge"
 	"pmfuzz/internal/workloads"
 	"pmfuzz/internal/workloads/bugs"
 )
@@ -249,7 +250,7 @@ func TestShadowConformance(t *testing.T) {
 						seed, res.Panicked, res.Err, input)
 				}
 
-				prefixes, err := prefixStates(w, nil, splitLines(input), workloads.MaxCommands)
+				prefixes, err := prefixStates(w, nil, judge.SplitLines(input), workloads.MaxCommands)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -268,9 +269,9 @@ func TestShadowConformance(t *testing.T) {
 // the stream, and the trailing empty line after a final newline counts.
 func TestShadowPrefixSemantics(t *testing.T) {
 	in := []byte("i 1 10\nnoise\ni 2 20\nq\ni 3 30\n")
-	lines := splitLines(in)
+	lines := judge.SplitLines(in)
 	if len(lines) != 6 { // 5 commands + trailing empty line
-		t.Fatalf("splitLines: got %d lines, want 6", len(lines))
+		t.Fatalf("SplitLines: got %d lines, want 6", len(lines))
 	}
 	prefixes, err := prefixStates("btree", nil, lines, workloads.MaxCommands)
 	if err != nil {
@@ -286,7 +287,7 @@ func TestShadowPrefixSemantics(t *testing.T) {
 	if !kvEqual(prefixes[3], prefixes[4]) {
 		t.Fatalf("quit mutated state: %v vs %v", prefixes[3], prefixes[4])
 	}
-	if !bytes.Equal(joinLines(lines), in) {
-		t.Fatalf("joinLines not inverse of splitLines")
+	if !bytes.Equal(judge.JoinLines(lines), in) {
+		t.Fatalf("JoinLines not inverse of SplitLines")
 	}
 }

@@ -202,27 +202,6 @@ func kvEqual(a, b []workloads.KV) bool {
 	return true
 }
 
-// splitLines splits a command stream exactly the way the executor's
-// command loop does: count(\n)+1 lines, including the trailing empty
-// line after a final newline. Every line counts as one command.
-func splitLines(input []byte) [][]byte {
-	var lines [][]byte
-	rest := input
-	for {
-		i := bytes.IndexByte(rest, '\n')
-		if i < 0 {
-			return append(lines, rest)
-		}
-		lines = append(lines, rest[:i])
-		rest = rest[i+1:]
-	}
-}
-
-// joinLines is the inverse of splitLines.
-func joinLines(lines [][]byte) []byte {
-	return bytes.Join(lines, []byte("\n"))
-}
-
 // prefixStates returns S₀..Sₙ where Sᵢ is the sorted shadow state after
 // the first i executed command lines, mirroring the executor's command
 // cap and quit semantics. Unchanged prefixes share one snapshot slice.

@@ -196,6 +196,22 @@ func (s *Set) Real(b RealBug) bool {
 	return s.real[b]
 }
 
+// Enabled lists the active synthetic point IDs (1–64) and real bugs in
+// ascending order, the form repro bundles record. A nil set has none.
+func (s *Set) Enabled() (syn, real []int) {
+	for id := 1; id <= 64; id++ {
+		if s.Syn(id) {
+			syn = append(syn, id)
+		}
+	}
+	for b := RealBug(1); b <= NumRealBugs; b++ {
+		if s.Real(b) {
+			real = append(real, int(b))
+		}
+	}
+	return syn, real
+}
+
 // Empty reports whether no bugs are enabled.
 func (s *Set) Empty() bool {
 	if s == nil {

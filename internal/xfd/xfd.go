@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"pmfuzz/internal/executor"
+	"pmfuzz/internal/judge"
 	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/trace"
 )
@@ -132,12 +133,13 @@ func CheckPoint(tc executor.TestCase, inj pmem.FailureInjector, postInput []byte
 	if !preRes.Crashed {
 		return nil // failure point past the end of execution
 	}
-	return analyzePost(tc, preRes, postInput)
+	return analyzePost(tc, preRes, postInput, executor.NewArena())
 }
 
-// analyzePost executes the post-failure stage on a crash image and
-// derives reports from the taint set and the execution outcome.
-func analyzePost(tc executor.TestCase, preRes *executor.Result, postInput []byte) []Report {
+// analyzePost executes the post-failure stage on a crash image, on
+// arena, and derives reports from the taint set and the execution
+// outcome.
+func analyzePost(tc executor.TestCase, preRes *executor.Result, postInput []byte, arena *executor.Arena) []Report {
 	if postInput == nil {
 		postInput = tc.Input
 	}
@@ -148,7 +150,11 @@ func analyzePost(tc executor.TestCase, preRes *executor.Result, postInput []byte
 		Bugs:     tc.Bugs,
 		Seed:     tc.Seed,
 	}
-	postRes := executor.Run(post, executor.Options{RecordTrace: true})
+	postRes := executor.Run(post, executor.Options{Arena: arena, RecordTrace: true})
+	defer func() {
+		arena.RecycleImage(postRes.Image)
+		arena.Recycle(postRes)
+	}()
 
 	var reports []Report
 	mk := func(k Kind, e trace.Event, detail string) {
@@ -196,67 +202,7 @@ func analyzePost(tc executor.TestCase, preRes *executor.Result, postInput []byte
 	return reports
 }
 
-// Check sweeps failure injection across every ordering point of the test
-// case (capped at maxBarriers; 0 = unlimited) and, when probRate > 0,
-// adds probSeeds probabilistically placed failures — mirroring §3.2's
-// two-fold crash-image strategy — and returns all findings. The
-// probabilistic placements matter for missing-fence bugs: their windows
-// lie strictly between ordering points, where barrier failures cannot
-// land.
-//
-// Check runs single-sweep: one journaled pre-failure execution supplies
-// every ordering-point crash state (CheckPostSweep). The per-failure
-// re-execution path remains available as CheckPost and is golden-tested
-// to produce the same report set.
-func Check(tc executor.TestCase, maxBarriers int, probRate float64, probSeeds int) []Report {
-	return CheckPostSweep(tc, maxBarriers, probRate, probSeeds, nil)
-}
-
-// CheckPost is the per-failure-point reference mode: it re-executes the
-// pre-failure input once per barrier (and once per pre-fence placement)
-// with an injected failure. postInput is the explicit post-failure input
-// (nil replays the original input); testing tools append the workload's
-// consistency check so corrupted recovery states are observed even when
-// the original input never asks for one.
-func CheckPost(tc executor.TestCase, maxBarriers int, probRate float64, probSeeds int, postInput []byte) []Report {
-	clean := executor.Run(tc, executor.Options{})
-	if clean.Faulted() {
-		return faultWithoutFailure(clean)
-	}
-	barriers := clean.Barriers
-	if maxBarriers > 0 && barriers > maxBarriers {
-		barriers = maxBarriers
-	}
-	var reports []Report
-	for b := 1; b <= barriers; b++ {
-		reports = append(reports, CheckPoint(tc, pmem.BarrierFailure{N: b}, postInput)...)
-		// Also fail just before the fence takes effect: at that instant
-		// flushed-but-unfenced lines may persist in any subset, which is
-		// exactly the state a missing persist_barrier() exposes.
-		if b-1 < len(clean.BarrierOps) {
-			if op := clean.BarrierOps[b-1] - 1; op >= 1 {
-				reports = append(reports, CheckPoint(tc, pmem.OpFailure{N: op}, postInput)...)
-			}
-		}
-	}
-	return append(reports, probReports(tc, clean.Ops, probRate, probSeeds, postInput)...)
-}
-
-// CheckPostSweep is the single-sweep mode: ONE journaled pre-failure
-// execution (executor.SweepRun) supplies the crash state at every
-// ordering point — barrier and pre-fence placements alike — with
-// per-barrier taint checkpoints read from the copy-on-write journal
-// instead of re-replaying the input per failure point. Only the
-// post-failure executions remain per-point, as in the paper's two-stage
-// design, and points whose exact crash state duplicates an earlier one
-// reuse its analysis instead of re-executing recovery. The report set
-// is identical to CheckPost (pinned by test).
-func CheckPostSweep(tc executor.TestCase, maxBarriers int, probRate float64, probSeeds int, postInput []byte) []Report {
-	reports, _ := CheckPostSweepStats(tc, maxBarriers, probRate, probSeeds, postInput, false)
-	return reports
-}
-
-// SweepStats reports the work one CheckPostSweepStats call performed.
+// SweepStats reports the work one Check performed.
 type SweepStats struct {
 	// Points counts ordering-point crash states enumerated; Posts counts
 	// post-failure executions actually run for them; Reused counts
@@ -267,96 +213,70 @@ type SweepStats struct {
 	Reused int
 }
 
-// CheckPostSweepStats is CheckPostSweep with work accounting and an
-// escape hatch: noPrune disables exact-state deduplication, re-running
-// the post-failure analysis at every point. Pruning is lossless — the
-// analysis is a pure function of the crash state (image bytes, taint
-// set, commit-variable exemptions) and the post input, so a duplicate
-// point's reports are byte-identical apart from the Barrier/Op stamp,
-// which the clone rewrites — making the two modes' outputs identical.
-func CheckPostSweepStats(tc executor.TestCase, maxBarriers int, probRate float64, probSeeds int, postInput []byte, noPrune bool) ([]Report, SweepStats) {
-	var stats SweepStats
-	sw := executor.SweepRun(tc, executor.Options{})
-	if sw.Clean.Faulted() {
-		return faultWithoutFailure(sw.Clean), stats
+// Check sweeps failure injection across every ordering point of the test
+// case (capped at maxBarriers; 0 = unlimited) and, when probRate > 0,
+// adds probSeeds probabilistically placed failures — mirroring §3.2's
+// two-fold crash-image strategy — and returns all findings plus the
+// sweep's work accounting. The probabilistic placements matter for
+// missing-fence bugs: their windows lie strictly between ordering
+// points, where barrier failures cannot land. postInput is the explicit
+// post-failure input (nil replays the original input); testing tools
+// append the workload's consistency check so corrupted recovery states
+// are observed even when the original input never asks for one.
+//
+// Check is the post-failure taint-analysis plugin on the shared judging
+// pipeline: ONE journaled pre-failure execution supplies the crash state
+// at every ordering point, barrier and pre-fence placements alike. The
+// post-failure runs, per point as in the paper's two-stage design, are
+// memoized by the point's exact key (image bytes, taint set,
+// commit-variable exemptions), which fixes everything the analysis
+// reads but the Barrier/Op stamp each point rewrites — so exact reuse is
+// lossless, needs no class pass, and the report sequence equals the
+// per-failure-point re-execution reference (pinned by test).
+func Check(tc executor.TestCase, maxBarriers int, probRate float64, probSeeds int, postInput []byte) ([]Report, SweepStats) {
+	var d judge.Driver
+	sw := d.Sweep(tc, executor.Options{}, maxBarriers)
+	defer sw.Close()
+	if sw.Skipped() != "" {
+		return faultWithoutFailure(sw.Clean), SweepStats{}
 	}
-	barriers := sw.Barriers()
-	if maxBarriers > 0 && barriers > maxBarriers {
-		barriers = maxBarriers
-	}
+	points := sw.Points(true)
+	var memo judge.Memo[[]Report]
+	found, st := judge.Judge(sw, points, &memo, judge.Plugin[[]Report, Report]{
+		Key:     executor.CrashFingerprint.ExactKey,
+		Step:    func(crash *executor.Result) []Report { return analyzePost(tc, crash, postInput, d.Arena()) },
+		Verdict: restamp,
+	}, false, 0)
+	// Points enumerate pre-fence(b) then barrier(b); report
+	// barrier-then-pre-fence per b, the order of a per-barrier sweep.
 	var reports []Report
-	if noPrune {
-		for b := 1; b <= barriers; b++ {
-			// Materialize the pre-fence state first — it derives from
-			// barrier b-1's image, so this keeps the cursor strictly forward
-			// — but report barrier-then-pre-fence, matching CheckPost's
-			// order.
-			preFence := sw.PreFenceCrash(b)
-			if atBarrier := sw.Crash(b); atBarrier != nil {
-				stats.Points++
-				stats.Posts++
-				reports = append(reports, analyzePost(tc, atBarrier, postInput)...)
-			}
-			if preFence != nil {
-				stats.Points++
-				stats.Posts++
-				reports = append(reports, analyzePost(tc, preFence, postInput)...)
-			}
-		}
-		return append(reports, probReports(tc, sw.Clean.Ops, probRate, probSeeds, postInput)...), stats
-	}
-
-	// Pruned: fingerprint every point from the journal, analyze only the
-	// first occurrence of each exact crash state, clone for the rest.
-	fps := sw.Fingerprints(barriers, true)
-	perPoint := make([][]Report, len(fps))
-	first := map[[32]byte]int{}
-	for i, fp := range fps {
-		stats.Points++
-		k := fp.ExactKey()
-		if j, ok := first[k]; ok {
-			stats.Reused++
-			perPoint[i] = cloneReports(perPoint[j], fp)
-			continue
-		}
-		first[k] = i
-		var res *executor.Result
-		if fp.PreFence {
-			res = sw.PreFenceCrash(fp.Barrier)
-		} else {
-			res = sw.Crash(fp.Barrier)
-		}
-		stats.Posts++
-		perPoint[i] = analyzePost(tc, res, postInput)
-	}
-	// Fingerprints enumerates pre-fence(b) then barrier(b); assemble the
-	// output barrier-then-pre-fence per b, matching CheckPost's order.
-	for i := 0; i < len(fps); i++ {
-		if fps[i].PreFence {
-			reports = append(reports, perPoint[i+1]...)
-			reports = append(reports, perPoint[i]...)
+	for i := 0; i < len(points); i++ {
+		if points[i].PreFence {
+			reports = append(reports, found.At(i+1)...)
+			reports = append(reports, found.At(i)...)
 			i++
 		} else {
-			reports = append(reports, perPoint[i]...)
+			reports = append(reports, found.At(i)...)
 		}
 	}
+	stats := SweepStats{Points: st.Checked, Posts: st.Recoveries, Reused: st.MemoHits}
 	return append(reports, probReports(tc, sw.Clean.Ops, probRate, probSeeds, postInput)...), stats
 }
 
-// cloneReports re-stamps a duplicate point's reports with its own
-// failure coordinates. Every other field is a pure function of the
-// crash state and the post input, which the exact key fixes.
-func cloneReports(rs []Report, fp executor.CrashFingerprint) []Report {
+// restamp stamps a point's reports with its own failure coordinates.
+// Every other field is a pure function of the crash state and the post
+// input, which the exact key fixes.
+func restamp(p executor.CrashFingerprint, rs []Report) []Report {
 	if len(rs) == 0 {
 		return nil
 	}
-	barrier := fp.Barrier
-	if fp.PreFence {
+	barrier := p.Barrier
+	if p.PreFence {
 		barrier = -1 // pre-fence placements report Crash.Barrier = -1
 	}
 	out := make([]Report, len(rs))
 	for i, r := range rs {
-		r.Barrier, r.Op = barrier, fp.Op
+		r.Barrier, r.Op = barrier, p.Op
 		out[i] = r
 	}
 	return out
@@ -371,9 +291,8 @@ func faultWithoutFailure(clean *executor.Result) []Report {
 	}}
 }
 
-// probReports runs the probabilistic placements shared by CheckPost and
-// CheckPostSweep. These crash points are not ordering points, so they are
-// genuinely re-executed in both modes.
+// probReports runs the probabilistic placements. These crash points are
+// not ordering points, so each is genuinely re-executed.
 func probReports(tc executor.TestCase, totalOps int, probRate float64, probSeeds int, postInput []byte) []Report {
 	if probRate <= 0 {
 		return nil

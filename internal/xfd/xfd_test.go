@@ -41,7 +41,7 @@ func TestNoFindingsOnFixedWorkloads(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			tc := executor.TestCase{Workload: name, Input: inputFor(name), Seed: 1}
-			reports := Check(tc, 0, 0.002, 3)
+			reports, _ := Check(tc, 0, 0.002, 3, nil)
 			for _, r := range reports {
 				t.Errorf("false positive: %s", r)
 			}
@@ -72,7 +72,7 @@ func TestDetectsBug1to5(t *testing.T) {
 			}
 			// The creation transaction runs within the first few dozen
 			// barriers; sweep them all.
-			reports := Check(tc, 0, 0, 0)
+			reports, _ := Check(tc, 0, 0, 0, nil)
 			if !HasKind(reports, PostFailureFault) {
 				t.Fatalf("%s not detected; %d reports", c.bug, len(reports))
 			}
@@ -90,7 +90,7 @@ func TestDetectsBug6(t *testing.T) {
 		Bugs:     bugs.NewSet().EnableReal(bugs.Bug6AtomicRecoveryNotCalled),
 		Seed:     1,
 	}
-	reports := Check(tc, 0, 0.002, 2)
+	reports, _ := Check(tc, 0, 0.002, 2, nil)
 	if !HasKind(reports, CrossFailureRead) && !HasKind(reports, PostFailureInconsistency) {
 		t.Fatalf("Bug 6 not detected (%d reports)", len(reports))
 	}
@@ -107,7 +107,7 @@ func TestDetectsExample2TailBug(t *testing.T) {
 		Bugs:     bugs.NewSet().EnableSyn(5),
 		Seed:     1,
 	}
-	reports := Check(tc, 0, 0.002, 2)
+	reports, _ := Check(tc, 0, 0.002, 2, nil)
 	if len(reports) == 0 {
 		t.Fatalf("Example 2 tail bug not detected")
 	}
@@ -133,7 +133,7 @@ func TestDetectsSkippedBackupAcrossFailure(t *testing.T) {
 				Bugs:     bugs.NewSet().EnableSyn(c.synID),
 				Seed:     1,
 			}
-			reports := Check(tc, 0, 0.002, 2)
+			reports, _ := Check(tc, 0, 0.002, 2, nil)
 			if len(reports) == 0 {
 				t.Fatalf("skipped backup not detected across failure")
 			}
@@ -273,10 +273,10 @@ func TestPreFenceSweepCoversWindows(t *testing.T) {
 	}
 }
 
-// TestSweepStatsDedup (satellite): the pruned post-failure sweep skips
-// duplicate-class crash states — report sequences stay byte-identical to
-// the unpruned loop while strictly fewer post-failure executions run,
-// and the stats balance (every point is either executed or reused).
+// TestSweepStatsDedup (satellite): Check skips duplicate crash states —
+// its report sequence stays byte-identical to the per-failure-point
+// CheckPost reference while post-failure executions are reused, and the
+// stats balance (every point is either executed or reused).
 func TestSweepStatsDedup(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -292,27 +292,21 @@ func TestSweepStatsDedup(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			tc := executor.TestCase{Workload: c.workload, Input: c.input, Bugs: c.bug, Seed: 1}
-			full, fs := CheckPostSweepStats(tc, 0, 0, 0, nil, true)
-			pruned, ps := CheckPostSweepStats(tc, 0, 0, 0, nil, false)
+			full := CheckPost(tc, 0, 0, 0, nil)
+			pruned, ps := Check(tc, 0, 0, 0, nil)
 			if len(full) != len(pruned) {
-				t.Fatalf("report counts differ: unpruned=%d pruned=%d", len(full), len(pruned))
+				t.Fatalf("report counts differ: per-point=%d reused=%d", len(full), len(pruned))
 			}
 			for i := range full {
 				if full[i] != pruned[i] {
-					t.Fatalf("report %d differs:\nunpruned: %s\npruned:   %s", i, full[i], pruned[i])
+					t.Fatalf("report %d differs:\nper-point: %s\nreused:    %s", i, full[i], pruned[i])
 				}
 			}
-			if fs.Reused != 0 || fs.Posts != fs.Points {
-				t.Fatalf("unpruned stats inconsistent: %+v", fs)
-			}
-			if ps.Points != fs.Points {
-				t.Fatalf("point counts differ: unpruned=%d pruned=%d", fs.Points, ps.Points)
-			}
 			if ps.Posts+ps.Reused != ps.Points {
-				t.Fatalf("pruned stats don't balance: %+v", ps)
+				t.Fatalf("stats don't balance: %+v", ps)
 			}
 			if ps.Reused == 0 {
-				t.Fatalf("pruned sweep reused nothing over %d points", ps.Points)
+				t.Fatalf("sweep reused nothing over %d points", ps.Points)
 			}
 		})
 	}
