@@ -28,8 +28,10 @@ import (
 	"pmfuzz/internal/instr"
 )
 
-// checkpointVersion guards the state format.
-const checkpointVersion = 2
+// checkpointVersion guards the state format. Version 3 keys images by
+// the paged content hash (pmem.ContentHash); a version-2 checkpoint's
+// image IDs are flat SHA-256 digests its blobs no longer hash to.
+const checkpointVersion = 3
 
 type ckptBlob struct {
 	ID   string `json:"id"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmfuzz/internal/obs"
@@ -200,5 +201,21 @@ func TestCheckpointRejects(t *testing.T) {
 	}
 	if err := fp.RestoreCheckpoint(blob); err == nil {
 		t.Error("RestoreCheckpoint accepted a 2-worker session")
+	}
+
+	// A version-2 checkpoint keys its images by the flat image hash.
+	v2 := bytes.Replace(blob, []byte(`"version":3`), []byte(`"version":2`), 1)
+	if bytes.Equal(v2, blob) {
+		t.Fatal("checkpoint carries no version 3 field")
+	}
+	fv, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fv.RestoreCheckpoint(v2); err == nil || !strings.Contains(err.Error(), "checkpoint version 2 (want 3)") {
+		t.Errorf("RestoreCheckpoint of a version-2 checkpoint: err = %v", err)
+	}
+	if _, err := PeekCheckpointConfig(v2); err == nil || !strings.Contains(err.Error(), "checkpoint version 2 (want 3)") {
+		t.Errorf("PeekCheckpointConfig of a version-2 checkpoint: err = %v", err)
 	}
 }

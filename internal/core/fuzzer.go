@@ -126,14 +126,14 @@ type Fuzzer struct {
 	// The session mines the first invariantMineObs favored new-PM-path
 	// entries into invMiner, freezes the surviving rules as invSet, and
 	// judges subsequent entries against it ("mine then freeze").
-	// invStats aggregates for the gauges/fuzzer_stats keys. Same
-	// off-clock, off-trajectory discipline as the differential oracle.
-	invCk     *invariant.Checker
-	invMiner  *invariant.Miner
-	invSet    *invariant.Set
-	invObs    int
-	invChecks int
-	invStats  invStats
+	// invStats aggregates for the gauges/fuzzer_stats keys; its checks
+	// count is what InvariantMaxChecks caps. Same off-clock,
+	// off-trajectory discipline as the differential oracle.
+	invCk    *invariant.Checker
+	invMiner *invariant.Miner
+	invSet   *invariant.Set
+	invObs   int
+	invStats invStats
 
 	// tele is the attached telemetry session (nil when disabled); shard
 	// is the coordinator's private metrics shard, merged into tele.M at
@@ -697,10 +697,9 @@ func (f *Fuzzer) invariantScan(parent *fuzz.Entry, input []byte, img *pmem.Image
 	if maxChecks <= 0 {
 		maxChecks = defaultInvariantMaxChecks
 	}
-	if f.invChecks >= maxChecks {
+	if f.invStats.checks >= maxChecks {
 		return
 	}
-	f.invChecks++
 	iopts.MaxViolations = 1
 	iopts.NoPrune = f.cfg.NoPruneSweep
 	rep := f.invCk.Check(tc, f.invSet, iopts)

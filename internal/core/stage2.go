@@ -151,9 +151,10 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, perBudget int
 
 // newCampaign builds the sub-campaign fuzzer: a fresh engine with
 // per-stage scoped virgin maps and queue, sharing the session's image
-// store, clock, telemetry, recovery virgin, fault buckets, checkers, and
-// frozen invariant set. Its corpus is the workload seed inputs plus the
-// promoted entry's own input, all starting from the recovered image.
+// store, clock, telemetry, recovery virgin, fault buckets, checkers,
+// check counters, and frozen invariant set. Its corpus is the workload
+// seed inputs plus the promoted entry's own input, all starting from
+// the recovered image.
 func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign int, perBudget int64) *Fuzzer {
 	cfg := f.cfg
 	cfg.Workers = f.cfg.Stage2Workers
@@ -182,6 +183,10 @@ func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign
 	// recovered-image case refutes, as for fleet-adopted sets.
 	child.oracleCk, child.invCk = f.oracleCk, f.invCk
 	child.AdoptInvariantSet(f.invSet)
+	// The check caps are per session. Campaigns run one at a time, so
+	// each starts from the session's counters and mergeCampaign carries
+	// them back.
+	child.oracleChecks, child.invStats = f.oracleChecks, f.invStats
 	seeded := false
 	for _, e := range child.queue.Entries() {
 		e.ImageID = recID
@@ -202,7 +207,7 @@ func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign
 
 // mergeCampaign folds a finished sub-campaign into the session: execs,
 // coverage (virgin merges and PM-path signature union), faults,
-// invariant-oracle counts, repro bundles, and the campaign corpus —
+// both oracles' check counts, repro bundles, and the campaign corpus —
 // re-parented under the promoted entry and labeled Stage=2/Iter for the
 // staged corpus layout. Crash images the campaign found become the next
 // promotion round's candidates.
@@ -214,9 +219,10 @@ func (f *Fuzzer) mergeCampaign(root *fuzz.Entry, child *Fuzzer, cres *Result, it
 		f.pmPathSigs[sig] = struct{}{}
 	}
 	f.faults = append(f.faults, cres.Faults...)
-	f.invStats.checks += child.invStats.checks
-	f.invStats.violations += child.invStats.violations
-	f.invStats.dropped += child.invStats.dropped
+	f.oracleChecks = child.oracleChecks
+	f.invStats.checks = child.invStats.checks
+	f.invStats.violations = child.invStats.violations
+	f.invStats.dropped = child.invStats.dropped
 	for _, r := range cres.Repros {
 		if f.reproPrior+len(f.repros) < maxRepros {
 			f.repros = append(f.repros, r)

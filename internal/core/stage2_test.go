@@ -407,6 +407,9 @@ func TestStage2InvariantCounts(t *testing.T) {
 	cfg.Stage2BudgetNS = 8_000_000
 	cfg.Stage2MaxCampaigns = 2
 	cfg.InvariantCheck = true
+	// The cap holds for the whole session: stage 1 runs 34 checks at this
+	// seed, so 48 leaves the campaigns 14.
+	cfg.InvariantMaxChecks = 48
 	f, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -451,5 +454,37 @@ func TestStage2InvariantCounts(t *testing.T) {
 	}
 	if freezes != 1 {
 		t.Fatalf("%d mined-set freezes, want the session's one", freezes)
+	}
+}
+
+// TestStage2ChecksWithinSessionCap: InvariantMaxChecks caps the whole
+// session. Stage-2 campaigns start from the session's check count
+// instead of a fresh one, so a cap stage 1 has spent leaves them
+// nothing.
+func TestStage2ChecksWithinSessionCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two-stage invariant session in -short mode")
+	}
+	cfg, err := DefaultConfig("btree", PMFuzzAll, 30_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1
+	cfg.Stage2Workers = 1
+	cfg.Stage2BudgetNS = 8_000_000
+	cfg.Stage2MaxCampaigns = 2
+	cfg.InvariantCheck = true
+	cfg.InvariantMaxChecks = 8
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := f.Run()
+	if res.Stage2Campaigns == 0 || res.InvariantChecks == 0 {
+		t.Fatalf("vacuous: %d campaigns, %d invariant checks", res.Stage2Campaigns, res.InvariantChecks)
+	}
+	if res.InvariantChecks > cfg.InvariantMaxChecks {
+		t.Fatalf("session ran %d invariant checks over %d campaigns, cap %d",
+			res.InvariantChecks, res.Stage2Campaigns, cfg.InvariantMaxChecks)
 	}
 }

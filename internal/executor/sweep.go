@@ -25,11 +25,6 @@ type SweepResult struct {
 	cursor      *pmem.SweepCursor
 	cmdStartOps []int
 
-	// Incremental hashing across sibling barrier images (enabled by
-	// EnableIncrementalHash; used by the fuzzer, not the checkers).
-	hasher     *pmem.ImageHasher
-	lastHashed int // barrier index of the previous incremental hash
-
 	// emptyTracer is lazily shared by every materialized Result: the
 	// truncated replay a materialization stands in for never traced
 	// anything, so all those results carry identical, permanently empty
@@ -76,16 +71,15 @@ func (s *SweepResult) Barriers() int {
 	return s.sweep.Barriers()
 }
 
-// EnableIncrementalHash makes subsequent ascending Crash(b) calls stamp
-// each materialized image with a hash resumed from the previous sibling's
-// SHA-256 midstate, skipping the unchanged prefix. Only worthwhile for
-// callers that hash every image (the fuzzer's image store); checkers that
-// never hash should leave it off.
+// EnableIncrementalHash makes subsequent Crash(b) calls stamp each
+// materialized image with its content hash, rehashing only the pages
+// the deltas since the previous image touched (backward seeks rehash
+// every page). Only worthwhile for callers that hash every image (the
+// fuzzer's image store); checkers that never hash should leave it off.
 func (s *SweepResult) EnableIncrementalHash() {
-	if s.sweep == nil || s.hasher != nil {
-		return
+	if s.sweep != nil {
+		s.cursor.TrackHash()
 	}
-	s.hasher = pmem.NewImageHasher([16]byte{}, s.layout)
 }
 
 // commandsAt reconstructs the Commands counter at a crash at PM-op x: the
@@ -118,9 +112,8 @@ func (s *SweepResult) Crash(b int) *Result {
 	s.charge(before)
 
 	img := &pmem.Image{Layout: s.layout, Data: data}
-	if s.hasher != nil {
-		img.SetPrecomputedHash(s.hasher.Sum(data, s.hashResumeOffset(b, len(data))))
-		s.lastHashed = b
+	if h, ok := s.cursor.ImageHash(s.layout); ok {
+		img.SetPrecomputedHash(h)
 	}
 	return &Result{
 		Tracer:      s.materializedTracer(),
@@ -270,22 +263,4 @@ func CrashClassKey(res *Result) uint64 {
 		k = 1 // keep 0 reserved for "unclassified"
 	}
 	return k
-}
-
-// hashResumeOffset returns the smallest byte offset whose content may
-// differ between the previously hashed barrier image and barrier b's —
-// the minimum delta line over the checkpoints in between. Descending or
-// repeated hashing falls back to a full pass (offset 0).
-func (s *SweepResult) hashResumeOffset(b, size int) int {
-	if s.lastHashed == 0 || b <= s.lastHashed {
-		return 0
-	}
-	min := size
-	for j := s.lastHashed + 1; j <= b; j++ {
-		d := s.sweep.Checkpoint(j).Delta
-		if len(d) > 0 && d[0].Line*pmem.LineSize < min {
-			min = d[0].Line * pmem.LineSize
-		}
-	}
-	return min
 }

@@ -172,10 +172,10 @@ func TestSweepGoldenWithStartImage(t *testing.T) {
 	}
 }
 
-// TestSweepIncrementalHashMatches pins the midstate-resume hashing: the
+// TestSweepIncrementalHashMatches pins the incremental hashing: the
 // stamped hash on every materialized image must equal a from-scratch
-// SHA-256 of the same contents, in ascending, repeated, and descending
-// access orders.
+// Image.Hash of the same contents, in ascending, repeated, and
+// descending access orders.
 func TestSweepIncrementalHashMatches(t *testing.T) {
 	tc := TestCase{Workload: "hashmap-tx", Input: sweepInput("hashmap-tx"), Seed: 5}
 	sw := SweepRun(tc, Options{})

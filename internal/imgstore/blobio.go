@@ -1,12 +1,12 @@
 package imgstore
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
+
+	"pmfuzz/internal/pmem"
 )
 
 // Store-to-store blob transfer, used by the campaign sync layer and by
@@ -15,8 +15,8 @@ import (
 // its base ID plus compressed runs — so a sync never re-compresses and a
 // crash image costs O(changed lines) on the wire. Import verifies every
 // blob against its content-addressed ID before admitting it, without
-// constructing a pmem.Image for full blobs: the content hash is computed
-// directly over the inflated serialization.
+// constructing a pmem.Image for full blobs: pmem.SerializedHash checks
+// the inflated serialization and hashes it in place.
 
 // ErrMissingDeltaBase reports a delta blob whose base image is not in
 // the store yet. The importer retries it after the base arrives.
@@ -112,8 +112,9 @@ func DeltaBase(blob []byte) (baseID ID, hasBase bool, err error) {
 
 // ImportBlob admits a peer's blob under the given content hash. The blob
 // is verified before insertion: a full blob's inflated serialization
-// must hash to id (checked without building a pmem.Image), and a delta
-// blob must reconstruct to an image hashing to id. A duplicate counts as
+// must be a valid image (magic, lengths, checksum) hashing to id,
+// checked without building a pmem.Image, and a delta blob must
+// reconstruct to an image hashing to id. A duplicate counts as
 // a dedup hit and costs no decompression. Returns whether the image was
 // new. A delta blob whose base is absent fails with ErrMissingDeltaBase
 // and leaves the store unchanged.
@@ -175,47 +176,21 @@ func (s *Store) ImportBlob(id ID, blob []byte) (fresh bool, err error) {
 	return true, nil
 }
 
-// verifyFullBlob inflates a full blob and checks that its serialized
-// image hashes to id, parsing the marshal layout in place — no
-// pmem.Image is constructed. Returns the serialized size.
+// verifyFullBlob inflates a full blob and checks that it is a valid
+// serialized image hashing to id, reading it in place — no pmem.Image is
+// constructed. Returns the serialized size.
 func (s *Store) verifyFullBlob(id ID, blob []byte) (int64, error) {
 	raw, release, err := s.inflate(blob[1:])
 	if err != nil {
 		return 0, err
 	}
 	defer release()
-	// Layout: magic(8) | uuid(16) | layoutLen(8 LE) | layout |
-	// dataLen(8 LE) | data | sha256(32). The content hash covers
-	// uuid ++ layout ++ data.
-	const magicLen, uuidLen, lenField, sumLen = 8, 16, 8, 32
-	p := magicLen
-	if len(raw) < p+uuidLen+lenField {
-		return 0, fmt.Errorf("imgstore: corrupt full blob %s: truncated", id)
+	got, err := pmem.SerializedHash(raw)
+	if err != nil {
+		return 0, fmt.Errorf("imgstore: corrupt full blob %s: %w", id, err)
 	}
-	uuid := raw[p : p+uuidLen]
-	p += uuidLen
-	llen := int(binary.LittleEndian.Uint64(raw[p : p+lenField]))
-	p += lenField
-	if llen < 0 || len(raw) < p+llen+lenField {
-		return 0, fmt.Errorf("imgstore: corrupt full blob %s: layout length", id)
-	}
-	layout := raw[p : p+llen]
-	p += llen
-	dlen := int(binary.LittleEndian.Uint64(raw[p : p+lenField]))
-	p += lenField
-	if dlen < 0 || len(raw) < p+dlen+sumLen {
-		return 0, fmt.Errorf("imgstore: corrupt full blob %s: data length", id)
-	}
-	data := raw[p : p+dlen]
-
-	h := sha256.New()
-	h.Write(uuid)
-	h.Write(layout)
-	h.Write(data)
-	var got ID
-	h.Sum(got[:0])
-	if got != id {
-		return 0, fmt.Errorf("imgstore: import blob content hash mismatch: want %s got %s", id, got)
+	if ID(got) != id {
+		return 0, fmt.Errorf("imgstore: import blob content hash mismatch: want %s got %s", id, ID(got))
 	}
 	return int64(len(raw)), nil
 }

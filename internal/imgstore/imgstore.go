@@ -419,6 +419,12 @@ func (s *Store) decodeDepth(id ID, clock *pmem.Clock, depth int) (*pmem.Image, e
 	}
 }
 
+// decodeDelta reconstructs a delta blob on a freshly decoded base and
+// verifies the result against id page by page: the base's page digests
+// (kept on it by its own delta decode, else computed once here) are
+// reused, and only the pages the runs patch are rehashed. The decoded
+// image keeps its hash and page digests. Every length is checked against
+// the bytes left, so no crafted blob can overflow a bound.
 func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*pmem.Image, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("imgstore: corrupt delta blob %s: %s", id, what)
@@ -432,7 +438,7 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	var uuid [16]byte
 	p += copy(uuid[:], blob[p:])
 	layoutLen, n := binary.Uvarint(blob[p:])
-	if n <= 0 || p+n+int(layoutLen) > len(blob) {
+	if n <= 0 || layoutLen > uint64(len(blob)-p-n) {
 		return nil, corrupt("layout length")
 	}
 	p += n
@@ -448,7 +454,7 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	if err != nil {
 		return nil, fmt.Errorf("imgstore: delta base of %s: %w", id, err)
 	}
-	if len(base.Data) != int(dataLen) {
+	if uint64(len(base.Data)) != dataLen {
 		return nil, corrupt("base size mismatch")
 	}
 	if clock != nil {
@@ -461,8 +467,12 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	defer release()
 
 	// The base was decoded for this call alone (never from a cache), so
-	// the delta patches its data in place.
+	// the delta patches its data and page digests in place.
 	data := base.Data
+	hasher := base.Hasher()
+	if hasher == nil {
+		hasher = pmem.NewImageHasher(data)
+	}
 	q := 0
 	nRuns, n := binary.Uvarint(payload[q:])
 	if n <= 0 {
@@ -480,20 +490,23 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 			return nil, corrupt("run length")
 		}
 		q += n
-		if off+runLen > uint64(len(data)) || q+int(runLen) > len(payload) {
+		if off > uint64(len(data)) || runLen > uint64(len(data))-off || runLen > uint64(len(payload)-q) {
 			return nil, corrupt("run out of range")
 		}
 		copy(data[off:off+runLen], payload[q:q+int(runLen)])
+		hasher.MarkRange(int(off), int(runLen))
 		q += int(runLen)
 	}
 
-	img := &pmem.Image{UUID: uuid, Layout: layout, Data: data}
-	if got := ID(img.Hash()); got != id {
+	if got := ID(hasher.Sum(uuid, layout, data)); got != id {
 		return nil, corrupt("reconstructed hash mismatch")
 	}
 	// The hash was just verified against the content-addressed key;
-	// memoize it so later Puts of this image skip the SHA pass.
+	// memoize it so later Puts of this image skip the SHA pass, and keep
+	// the page digests for a delta based on this image.
+	img := &pmem.Image{UUID: uuid, Layout: layout, Data: data}
 	img.SetPrecomputedHash([32]byte(id))
+	img.SetHasher(hasher)
 	return img, nil
 }
 

@@ -17,8 +17,8 @@ package pmem
 //   - ImageHash: the content hash of the crash state, bit-identical to
 //     Image.Hash on the materialized image (zero UUID). Computed by
 //     walking ONE working buffer forward through the journal, applying
-//     each point's delta in place and resuming the SHA-256 ladder from
-//     the first changed byte (ImageHasher midstate resume).
+//     each point's delta in place and rehashing only the 4 KiB pages
+//     the delta touched (ImageHasher page digests).
 //   - TaintSig: the shape of the taint set (Checkpoint.Lost / PreLost) —
 //     which byte ranges were written but never persisted.
 //   - CVCount/CVHash: how many commit-variable ranges were registered at
@@ -50,21 +50,19 @@ type Fingerprint struct {
 // keeps a single working buffer: for each barrier it applies PreDelta in
 // place, fingerprints the pre-fence state, then applies the full Delta on
 // top (PreDelta is a subset of Delta with identical bytes, so the
-// re-application is a no-op) and fingerprints the barrier state. Hashing
-// resumes from the first byte changed since the previous fingerprint, so
-// sibling states pay only for their suffix. Forward access is O(delta)
-// per point; seeking backwards rebuilds from the base.
+// re-application is a no-op) and fingerprints the barrier state. Every
+// applied delta marks its pages dirty in the hasher, so a fingerprint
+// rehashes only the pages changed since the previous one. Forward access
+// is O(delta) per point; seeking backwards rebuilds from the base.
 type Partitioner struct {
 	s      *Sweep
+	layout string
 	hasher *ImageHasher
 	buf    []byte
 	// pos counts barriers applied to buf; prePending is the barrier whose
 	// PreDelta is applied on top of pos (0 = none).
 	pos        int
 	prePending int
-	// minChanged is the smallest byte offset at which buf may differ from
-	// the data of the previous hash (len(buf) = nothing changed).
-	minChanged int
 	// appliedLines counts delta lines applied (rebuilds included) — the
 	// unit the simulated clock charges for materialization, mirroring
 	// SweepCursor.
@@ -79,10 +77,12 @@ type Partitioner struct {
 // points. layout must match the layout of the images the sweep's cursor
 // materializes, so ImageHash values agree with Image.Hash.
 func (s *Sweep) Partition(layout string) *Partitioner {
+	buf := append([]byte(nil), s.base...)
 	return &Partitioner{
 		s:      s,
-		hasher: NewImageHasher([16]byte{}, layout),
-		buf:    append([]byte(nil), s.base...),
+		layout: layout,
+		hasher: NewImageHasher(buf),
+		buf:    buf,
 		cvN:    -1,
 	}
 }
@@ -95,13 +95,7 @@ func (p *Partitioner) applyDelta(ds []LineDelta) {
 		copy(p.buf[ld.Line*LineSize:], ld.Data)
 		p.appliedLines++
 	}
-	// Delta lines are in ascending line order, so the first entry bounds
-	// the changed region from below.
-	if len(ds) > 0 {
-		if off := ds[0].Line * LineSize; off < p.minChanged {
-			p.minChanged = off
-		}
-	}
+	p.hasher.markLines(ds)
 }
 
 // ensure brings buf to the persisted state after barrier b-1 (possibly
@@ -110,7 +104,8 @@ func (p *Partitioner) applyDelta(ds []LineDelta) {
 func (p *Partitioner) ensure(b int) {
 	if (p.prePending != 0 && p.prePending != b) || p.pos > b-1 {
 		copy(p.buf, p.s.base)
-		p.pos, p.prePending, p.minChanged = 0, 0, 0
+		p.hasher.markAll()
+		p.pos, p.prePending = 0, 0
 	}
 	for p.pos < b-1 {
 		p.applyDelta(p.s.cps[p.pos].Delta)
@@ -151,14 +146,12 @@ func (p *Partitioner) Barrier(b int) Fingerprint {
 // CommitVars would expose.
 func (p *Partitioner) point(lost []Range, cvCount int) Fingerprint {
 	rs := p.cvRangesAt(cvCount)
-	fp := Fingerprint{
-		ImageHash: p.hasher.Sum(p.buf, p.minChanged),
+	return Fingerprint{
+		ImageHash: p.hasher.Sum([16]byte{}, p.layout, p.buf),
 		TaintSig:  TaintSignature(lost),
 		CVCount:   len(rs),
 		CVHash:    CommitVarSignature(rs, p.buf),
 	}
-	p.minChanged = len(p.buf)
-	return fp
 }
 
 func (p *Partitioner) cvRangesAt(n int) []Range {

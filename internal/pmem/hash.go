@@ -2,115 +2,139 @@ package pmem
 
 import (
 	"crypto/sha256"
-	"encoding"
-	"hash"
+	"encoding/binary"
 )
 
-// hashStateStride is the spacing of saved SHA-256 midstates. 4 KiB keeps
-// the ladder small (a 1 MiB pool saves 256 states of ~100 bytes each)
-// while letting a resume skip everything before the first changed byte.
-const hashStateStride = 4096
+// PageSize is the page granularity of the image content hash.
+const PageSize = 4096
 
-// ImageHasher computes Image content hashes (SHA-256 over
-// UUID | layout | data) incrementally across a sequence of images that
-// share a long unchanged prefix — exactly the shape of sibling crash
-// images produced by the copy-on-write sweep, where consecutive barriers
-// differ only in the lines the fence drained. It keeps a ladder of
-// SHA-256 midstates at fixed strides; hashing the next image resumes from
-// the deepest midstate at or before the first changed byte instead of
-// rehashing the whole pool.
+// linesPerPage is how many cache lines one hash page spans.
+const linesPerPage = PageSize / LineSize
+
+// The image content hash — the identity PMFuzz's image reduction
+// (§4.5 step ④) deduplicates on and the image store keys blobs by — is
+// a hash over page digests:
 //
-// The digest is bit-identical to Image.Hash: midstates are serialized and
-// restored through the stdlib digest's encoding.BinaryMarshaler support,
-// so only the duplicated work is skipped, never the hash function.
+//	SHA-256(uuid ‖ le64(len(layout)) ‖ layout ‖ le64(len(data)) ‖
+//	        SHA-256(page 0) ‖ … ‖ SHA-256(page n−1))
+//
+// with PageSize pages (the last one may be short). A full hash costs
+// one SHA-256 pass over the data, like a flat hash, but an image
+// derived from another by a few cache-line writes — a sweep point from
+// its predecessor, a delta blob from its base — rehashes only the pages
+// those writes touch plus the 32-bytes-per-page root. Any
+// collision-resistant hash serves the dedup.
+
+// ContentHash returns the content hash of an image with the given
+// identity and data. Image.Hash, the sweep's incremental hashes and the
+// image store's import check all compute this one definition.
+func ContentHash(uuid [16]byte, layout string, data []byte) [32]byte {
+	root := appendRootHeader(make([]byte, 0, rootHeaderLen(layout)+pageCount(len(data))*sha256.Size), uuid, layout, len(data))
+	for off := 0; off < len(data); off += PageSize {
+		sum := sha256.Sum256(data[off:min(off+PageSize, len(data))])
+		root = append(root, sum[:]...)
+	}
+	return sha256.Sum256(root)
+}
+
+func pageCount(size int) int { return (size + PageSize - 1) / PageSize }
+
+func rootHeaderLen(layout string) int { return 16 + 8 + len(layout) + 8 }
+
+func appendRootHeader(b []byte, uuid [16]byte, layout string, size int) []byte {
+	b = append(b, uuid[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(layout)))
+	b = append(b, layout...)
+	return binary.LittleEndian.AppendUint64(b, uint64(size))
+}
+
+// rootReserve is the header room an ImageHasher keeps in front of its
+// digests; layouts longer than rootReserve-32 bytes regrow it once.
+const rootReserve = 64
+
+// ImageHasher keeps the page digests of one data buffer that changes
+// by small writes, so its content hash after a change rehashes only the
+// pages marked dirty since the previous Sum. The sweep's Partitioner and
+// SweepCursor feed it their journal deltas (markLines); the image store
+// feeds it a delta blob's runs (MarkRange). A missing mark makes Sum
+// stale, so every write to the buffer must be marked.
 type ImageHasher struct {
-	prefix []byte // UUID + layout, hashed before any data
-	states []hasherState
+	size int
+	// root is the root preimage: header room, then one digest per page
+	// from root[hdr:]. Sum writes the header right in front of the
+	// digests, so no call copies them.
+	root  []byte
+	hdr   int
+	dirty []bool
+	marks []int // dirty pages, in marking order
 }
 
-// hasherState is a midstate valid after hashing prefix + data[:off].
-type hasherState struct {
-	off int
-	bin []byte
+// NewImageHasher digests every page of data.
+func NewImageHasher(data []byte) *ImageHasher {
+	n := pageCount(len(data))
+	h := &ImageHasher{
+		size:  len(data),
+		root:  make([]byte, rootReserve+n*sha256.Size),
+		hdr:   rootReserve,
+		dirty: make([]bool, n),
+	}
+	for p := range n {
+		h.rehash(p, data)
+	}
+	return h
 }
 
-// NewImageHasher returns a hasher for images with the given identity.
-// All images passed to Sum must share this UUID and layout (they factor
-// into the digest ahead of the data).
-func NewImageHasher(uuid [16]byte, layout string) *ImageHasher {
-	prefix := make([]byte, 0, 16+len(layout))
-	prefix = append(prefix, uuid[:]...)
-	prefix = append(prefix, layout...)
-	return &ImageHasher{prefix: prefix}
+func (h *ImageHasher) rehash(p int, data []byte) {
+	off := p * PageSize
+	sum := sha256.Sum256(data[off:min(off+PageSize, len(data))])
+	copy(h.root[h.hdr+p*sha256.Size:], sum[:])
 }
 
-// Sum returns the content hash of an image with the hasher's identity and
-// the given data. firstChanged is the smallest byte offset at which data
-// may differ from the data of the previous Sum call (len(data) if nothing
-// changed, 0 for the first call or when unknown). Passing a too-small
-// firstChanged only wastes work; passing a too-large one corrupts the
-// result — callers derive it from the sweep journal's delta line indices.
-func (h *ImageHasher) Sum(data []byte, firstChanged int) [32]byte {
-	if firstChanged > len(data) {
-		firstChanged = len(data)
+func (h *ImageHasher) mark(p int) {
+	if !h.dirty[p] {
+		h.dirty[p] = true
+		h.marks = append(h.marks, p)
 	}
-	if firstChanged < 0 {
-		firstChanged = 0
-	}
-
-	d := sha256.New()
-	resume := 0
-
-	// Deepest saved midstate at or before the first changed byte; states
-	// beyond it describe data that may have changed and are dropped.
-	k := -1
-	for i, st := range h.states {
-		if st.off > firstChanged {
-			break
-		}
-		k = i
-	}
-	if k >= 0 {
-		if err := d.(encoding.BinaryUnmarshaler).UnmarshalBinary(h.states[k].bin); err == nil {
-			resume = h.states[k].off
-			h.states = h.states[:k+1]
-		} else {
-			// A stdlib digest never fails to restore its own marshaled
-			// state; degrade to a full pass if it somehow does.
-			d = sha256.New()
-			h.states = h.states[:0]
-		}
-	} else {
-		h.states = h.states[:0]
-	}
-	if resume == 0 && len(h.states) == 0 {
-		d.Write(h.prefix)
-		h.saveState(d, 0)
-	}
-
-	// Hash forward from the resume point, recording midstates at stride
-	// boundaries for the next call to resume from.
-	for pos := resume; pos < len(data); {
-		next := (pos/hashStateStride + 1) * hashStateStride
-		if next > len(data) {
-			next = len(data)
-		}
-		d.Write(data[pos:next])
-		pos = next
-		if pos%hashStateStride == 0 && pos < len(data) {
-			h.saveState(d, pos)
-		}
-	}
-
-	var out [32]byte
-	d.Sum(out[:0])
-	return out
 }
 
-func (h *ImageHasher) saveState(d hash.Hash, off int) {
-	bin, err := d.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
+// MarkRange marks the pages overlapping data[off:off+n] dirty.
+func (h *ImageHasher) MarkRange(off, n int) {
+	if n <= 0 {
 		return
 	}
-	h.states = append(h.states, hasherState{off: off, bin: bin})
+	for p := off / PageSize; p <= (off+n-1)/PageSize; p++ {
+		h.mark(p)
+	}
+}
+
+// markLines marks the pages of the delta's cache lines dirty.
+func (h *ImageHasher) markLines(ds []LineDelta) {
+	for _, ld := range ds {
+		h.mark(ld.Line / linesPerPage)
+	}
+}
+
+// markAll marks every page dirty, for a buffer rebuilt wholesale.
+func (h *ImageHasher) markAll() {
+	for p := range h.dirty {
+		h.mark(p)
+	}
+}
+
+// Sum rehashes the dirty pages of data — the buffer the hasher tracks,
+// its size unchanged — and returns the content hash of an image with
+// the given identity and that data.
+func (h *ImageHasher) Sum(uuid [16]byte, layout string, data []byte) [32]byte {
+	for _, p := range h.marks {
+		h.rehash(p, data)
+		h.dirty[p] = false
+	}
+	h.marks = h.marks[:0]
+	if n := rootHeaderLen(layout); n > h.hdr {
+		h.root = append(make([]byte, n), h.root[h.hdr:]...)
+		h.hdr = n
+	}
+	start := h.hdr - rootHeaderLen(layout)
+	appendRootHeader(h.root[start:start], uuid, layout, h.size)
+	return sha256.Sum256(h.root[start:])
 }

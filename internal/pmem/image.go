@@ -27,6 +27,10 @@ type Image struct {
 	// SetPrecomputedHash, on images whose contents will not change.
 	hash    [32]byte
 	hashSet bool
+	// hasher keeps the page digests a verified decode computed, so an
+	// image derived from this one rehashes only the pages it changes.
+	// Set only through SetHasher.
+	hasher *ImageHasher
 }
 
 const imageMagic = "PMFZIMG1"
@@ -34,19 +38,14 @@ const imageMagic = "PMFZIMG1"
 // ErrBadImage reports a malformed or corrupted serialized image.
 var ErrBadImage = errors.New("pmem: bad image")
 
-// Hash returns the SHA-256 of the image contents (UUID + layout + data).
-// PMFuzz's image-reduction step (§4.5 step ④) deduplicates on this value.
+// Hash returns the image's content hash (ContentHash over UUID, layout
+// and data). PMFuzz's image-reduction step (§4.5 step ④) deduplicates on
+// this value.
 func (img *Image) Hash() [32]byte {
 	if img.hashSet {
 		return img.hash
 	}
-	h := sha256.New()
-	h.Write(img.UUID[:])
-	h.Write([]byte(img.Layout))
-	h.Write(img.Data)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return ContentHash(img.UUID, img.Layout, img.Data)
 }
 
 // SetPrecomputedHash memoizes the image's content hash. The caller owns
@@ -58,8 +57,18 @@ func (img *Image) SetPrecomputedHash(h [32]byte) {
 	img.hashSet = true
 }
 
-// Clone returns a deep copy of the image. The hash memo is deliberately
-// dropped: clones exist to be mutated.
+// SetHasher keeps h, which must track the image's current data, as the
+// image's page digests. Like SetPrecomputedHash, it is for images that
+// are no longer mutated.
+func (img *Image) SetHasher(h *ImageHasher) { img.hasher = h }
+
+// Hasher returns the page digests kept by SetHasher, or nil. A caller
+// that takes them and then derives a new image from this one's data
+// buffer owns both from then on.
+func (img *Image) Hasher() *ImageHasher { return img.hasher }
+
+// Clone returns a deep copy of the image. The hash memo and page digests
+// are deliberately dropped: clones exist to be mutated.
 func (img *Image) Clone() *Image {
 	data := make([]byte, len(img.Data))
 	copy(data, img.Data)
@@ -94,43 +103,60 @@ func (img *Image) Marshal() []byte {
 
 // UnmarshalImage parses a serialized image, verifying magic and checksum.
 func UnmarshalImage(b []byte) (*Image, error) {
+	uuid, layout, data, err := parseImage(b)
+	if err != nil {
+		return nil, err
+	}
+	img := &Image{UUID: uuid, Layout: string(layout), Data: make([]byte, len(data))}
+	copy(img.Data, data)
+	return img, nil
+}
+
+// SerializedHash verifies a serialized image like UnmarshalImage and
+// returns its content hash, reading the fields in place instead of
+// building an Image.
+func SerializedHash(b []byte) ([32]byte, error) {
+	uuid, layout, data, err := parseImage(b)
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return ContentHash(uuid, string(layout), data), nil
+}
+
+// parseImage checks a serialized image's magic, checksum and lengths and
+// returns views of its fields. Every length is compared against the
+// bytes left, so no crafted length can overflow a check.
+func parseImage(b []byte) (uuid [16]byte, layout, data []byte, err error) {
 	if len(b) < len(imageMagic)+16+8 {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadImage)
+		return uuid, nil, nil, fmt.Errorf("%w: truncated header", ErrBadImage)
 	}
 	if string(b[:len(imageMagic)]) != imageMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadImage)
+		return uuid, nil, nil, fmt.Errorf("%w: bad magic", ErrBadImage)
 	}
-	if len(b) < 32 {
-		return nil, fmt.Errorf("%w: truncated checksum", ErrBadImage)
+	if len(b) < len(imageMagic)+16+8+sha256.Size {
+		return uuid, nil, nil, fmt.Errorf("%w: truncated checksum", ErrBadImage)
 	}
-	body, sum := b[:len(b)-32], b[len(b)-32:]
+	body, sum := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
 	want := sha256.Sum256(body)
 	if !bytes.Equal(want[:], sum) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadImage)
+		return uuid, nil, nil, fmt.Errorf("%w: checksum mismatch", ErrBadImage)
 	}
-	img := &Image{}
 	p := len(imageMagic)
-	copy(img.UUID[:], body[p:p+16])
-	p += 16
-	if p+8 > len(body) {
-		return nil, fmt.Errorf("%w: truncated layout length", ErrBadImage)
-	}
-	ll := int(binary.LittleEndian.Uint64(body[p : p+8]))
+	p += copy(uuid[:], body[p:])
+	ll := binary.LittleEndian.Uint64(body[p:])
 	p += 8
-	if ll < 0 || p+ll > len(body) {
-		return nil, fmt.Errorf("%w: bad layout length %d", ErrBadImage, ll)
+	if ll > uint64(len(body)-p) {
+		return uuid, nil, nil, fmt.Errorf("%w: bad layout length %d", ErrBadImage, ll)
 	}
-	img.Layout = string(body[p : p+ll])
-	p += ll
-	if p+8 > len(body) {
-		return nil, fmt.Errorf("%w: truncated data length", ErrBadImage)
+	layout = body[p : p+int(ll)]
+	p += int(ll)
+	if len(body)-p < 8 {
+		return uuid, nil, nil, fmt.Errorf("%w: truncated data length", ErrBadImage)
 	}
-	dl := int(binary.LittleEndian.Uint64(body[p : p+8]))
+	dl := binary.LittleEndian.Uint64(body[p:])
 	p += 8
-	if dl < 0 || p+dl != len(body) {
-		return nil, fmt.Errorf("%w: bad data length %d", ErrBadImage, dl)
+	if dl != uint64(len(body)-p) {
+		return uuid, nil, nil, fmt.Errorf("%w: bad data length %d", ErrBadImage, dl)
 	}
-	img.Data = make([]byte, dl)
-	copy(img.Data, body[p:])
-	return img, nil
+	return uuid, layout, body[p:], nil
 }

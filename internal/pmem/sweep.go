@@ -227,6 +227,9 @@ type SweepCursor struct {
 	// including rebuilds) — the unit the simulated clock charges for
 	// materialization.
 	appliedLines int
+	// hasher, once TrackHash is called, holds cur's page digests; every
+	// applied delta marks its pages dirty.
+	hasher *ImageHasher
 }
 
 // Cursor returns a new materialization cursor positioned at the base
@@ -243,6 +246,28 @@ func (c *SweepCursor) apply(ds []LineDelta) {
 		copy(c.cur[ld.Line*LineSize:], ld.Data)
 		c.appliedLines++
 	}
+	if c.hasher != nil {
+		c.hasher.markLines(ds)
+	}
+}
+
+// TrackHash makes the cursor keep the page digests of its working copy,
+// so ImageHash rehashes only the pages the deltas applied since the
+// previous call touched.
+func (c *SweepCursor) TrackHash() {
+	if c.hasher == nil {
+		c.hasher = NewImageHasher(c.cur)
+	}
+}
+
+// ImageHash returns the content hash (zero UUID, the given layout) of
+// the barrier state the cursor stands at — what ImageData last
+// returned — and false when TrackHash was never called.
+func (c *SweepCursor) ImageHash(layout string) ([32]byte, bool) {
+	if c.hasher == nil {
+		return [32]byte{}, false
+	}
+	return c.hasher.Sum([16]byte{}, layout, c.cur), true
 }
 
 func applyDeltaTo(dst []byte, ds []LineDelta) {
@@ -257,6 +282,9 @@ func (c *SweepCursor) seek(b int) {
 	if b < c.pos {
 		copy(c.cur, c.s.base)
 		c.pos = 0
+		if c.hasher != nil {
+			c.hasher.markAll()
+		}
 	}
 	for c.pos < b {
 		c.apply(c.s.cps[c.pos].Delta)

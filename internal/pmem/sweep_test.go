@@ -185,40 +185,6 @@ func rangesEq(a, b []Range) bool {
 	return true
 }
 
-// TestImageHasherMatchesFullHash drives the midstate-resume hasher over
-// data mutated at assorted offsets (including stride boundaries, offset
-// zero, end-of-data "nothing changed", and lying-larger firstChanged
-// clamping) and checks every digest against Image.Hash.
-func TestImageHasherMatchesFullHash(t *testing.T) {
-	const size = 3*hashStateStride + 123
-	uuid := [16]byte{1, 2, 3}
-	data := make([]byte, size)
-	rand.New(rand.NewSource(42)).Read(data)
-
-	h := NewImageHasher(uuid, "layout")
-	check := func(firstChanged int) {
-		t.Helper()
-		got := h.Sum(data, firstChanged)
-		want := (&Image{UUID: uuid, Layout: "layout", Data: data}).Hash()
-		if got != want {
-			t.Fatalf("firstChanged=%d: digest mismatch", firstChanged)
-		}
-	}
-	check(0)
-	for _, off := range []int{0, 1, hashStateStride - 1, hashStateStride,
-		hashStateStride + 1, 2 * hashStateStride, size - 1} {
-		data[off] ^= 0xA5
-		check(off)
-	}
-	// Nothing changed: resume from the end.
-	check(size)
-	// Clamped past the end.
-	check(size + 999)
-	// Full restart after arbitrary interleaving.
-	data[7] ^= 1
-	check(0)
-}
-
 // TestEvictionSharedPredicate pins that the sweep's eviction decision and
 // the device's injected-crash eviction agree line by line.
 func TestEvictionSharedPredicate(t *testing.T) {
