@@ -420,11 +420,8 @@ func (s *Store) decodeDepth(id ID, clock *pmem.Clock, depth int) (*pmem.Image, e
 }
 
 // decodeDelta reconstructs a delta blob on a freshly decoded base and
-// verifies the result against id page by page: the base's page digests
-// (kept on it by its own delta decode, else computed once here) are
-// reused, and only the pages the runs patch are rehashed. The decoded
-// image keeps its hash and page digests. Every length is checked against
-// the bytes left, so no crafted blob can overflow a bound.
+// verifies the result's content hash against id. Every length is checked
+// against the bytes left, so no crafted blob can overflow a bound.
 func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*pmem.Image, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("imgstore: corrupt delta blob %s: %s", id, what)
@@ -467,12 +464,8 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	defer release()
 
 	// The base was decoded for this call alone (never from a cache), so
-	// the delta patches its data and page digests in place.
+	// the delta patches its data in place.
 	data := base.Data
-	hasher := base.Hasher()
-	if hasher == nil {
-		hasher = pmem.NewImageHasher(data)
-	}
 	q := 0
 	nRuns, n := binary.Uvarint(payload[q:])
 	if n <= 0 {
@@ -494,19 +487,16 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 			return nil, corrupt("run out of range")
 		}
 		copy(data[off:off+runLen], payload[q:q+int(runLen)])
-		hasher.MarkRange(int(off), int(runLen))
 		q += int(runLen)
 	}
 
-	if got := ID(hasher.Sum(uuid, layout, data)); got != id {
+	img := &pmem.Image{UUID: uuid, Layout: layout, Data: data}
+	if got := ID(img.Hash()); got != id {
 		return nil, corrupt("reconstructed hash mismatch")
 	}
 	// The hash was just verified against the content-addressed key;
-	// memoize it so later Puts of this image skip the SHA pass, and keep
-	// the page digests for a delta based on this image.
-	img := &pmem.Image{UUID: uuid, Layout: layout, Data: data}
+	// memoize it so later Puts of this image skip the SHA pass.
 	img.SetPrecomputedHash([32]byte(id))
-	img.SetHasher(hasher)
 	return img, nil
 }
 

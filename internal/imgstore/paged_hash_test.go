@@ -218,10 +218,9 @@ func TestPagedHashMatchesFullHash(t *testing.T) {
 			}
 			want := map[imgstore.ID][]byte{prevID: prev.Data}
 			ids := []imgstore.ID{prevID}
-			// A chain of deltas, each on the previous image: decoding
-			// link k reuses the page digests of link k-1's decode. One
-			// link changes the layout to one longer than the hasher's
-			// header room.
+			// A chain of deltas, each on the previous image, so decoding
+			// link k decodes links 1..k-1 first. One link changes the
+			// layout to one longer than the hasher's header room.
 			for link := 0; link < 5; link++ {
 				next := &pmem.Image{UUID: prev.UUID, Layout: prev.Layout, Data: append([]byte(nil), prev.Data...)}
 				if link == 2 {
@@ -262,9 +261,6 @@ func TestPagedHashMatchesFullHash(t *testing.T) {
 					}
 					if !bytes.Equal(img.Data, want[id]) {
 						t.Fatalf("seed %d link %d: decoded data differs", seed, i+1)
-					}
-					if ph := img.Hasher(); ph == nil {
-						t.Fatalf("seed %d link %d: delta decode kept no page digests", seed, i+1)
 					}
 					requireStamped(t, fmt.Sprintf("seed %d link %d decode", seed, i+1), img)
 				}

@@ -21,20 +21,15 @@ const linesPerPage = PageSize / LineSize
 // with PageSize pages (the last one may be short). A full hash costs
 // one SHA-256 pass over the data, like a flat hash, but an image
 // derived from another by a few cache-line writes — a sweep point from
-// its predecessor, a delta blob from its base — rehashes only the pages
-// those writes touch plus the 32-bytes-per-page root. Any
-// collision-resistant hash serves the dedup.
+// its predecessor — rehashes only the pages those writes touch plus the
+// 32-bytes-per-page root. Any collision-resistant hash serves the dedup.
 
 // ContentHash returns the content hash of an image with the given
-// identity and data. Image.Hash, the sweep's incremental hashes and the
-// image store's import check all compute this one definition.
+// identity and data: the Sum of a fresh ImageHasher, so a full hash and
+// an incremental one are the same definition. Image.Hash, the sweep and
+// the image store's checks all compute it.
 func ContentHash(uuid [16]byte, layout string, data []byte) [32]byte {
-	root := appendRootHeader(make([]byte, 0, rootHeaderLen(layout)+pageCount(len(data))*sha256.Size), uuid, layout, len(data))
-	for off := 0; off < len(data); off += PageSize {
-		sum := sha256.Sum256(data[off:min(off+PageSize, len(data))])
-		root = append(root, sum[:]...)
-	}
-	return sha256.Sum256(root)
+	return NewImageHasher(data).Sum(uuid, layout, data)
 }
 
 func pageCount(size int) int { return (size + PageSize - 1) / PageSize }
@@ -55,9 +50,8 @@ const rootReserve = 64
 // ImageHasher keeps the page digests of one data buffer that changes
 // by small writes, so its content hash after a change rehashes only the
 // pages marked dirty since the previous Sum. The sweep's Partitioner and
-// SweepCursor feed it their journal deltas (markLines); the image store
-// feeds it a delta blob's runs (MarkRange). A missing mark makes Sum
-// stale, so every write to the buffer must be marked.
+// SweepCursor feed it their journal deltas (markLines). A missing mark
+// makes Sum stale, so every write to the buffer must be marked.
 type ImageHasher struct {
 	size int
 	// root is the root preimage: header room, then one digest per page
@@ -94,16 +88,6 @@ func (h *ImageHasher) mark(p int) {
 	if !h.dirty[p] {
 		h.dirty[p] = true
 		h.marks = append(h.marks, p)
-	}
-}
-
-// MarkRange marks the pages overlapping data[off:off+n] dirty.
-func (h *ImageHasher) MarkRange(off, n int) {
-	if n <= 0 {
-		return
-	}
-	for p := off / PageSize; p <= (off+n-1)/PageSize; p++ {
-		h.mark(p)
 	}
 }
 

@@ -27,10 +27,6 @@ type Image struct {
 	// SetPrecomputedHash, on images whose contents will not change.
 	hash    [32]byte
 	hashSet bool
-	// hasher keeps the page digests a verified decode computed, so an
-	// image derived from this one rehashes only the pages it changes.
-	// Set only through SetHasher.
-	hasher *ImageHasher
 }
 
 const imageMagic = "PMFZIMG1"
@@ -57,18 +53,8 @@ func (img *Image) SetPrecomputedHash(h [32]byte) {
 	img.hashSet = true
 }
 
-// SetHasher keeps h, which must track the image's current data, as the
-// image's page digests. Like SetPrecomputedHash, it is for images that
-// are no longer mutated.
-func (img *Image) SetHasher(h *ImageHasher) { img.hasher = h }
-
-// Hasher returns the page digests kept by SetHasher, or nil. A caller
-// that takes them and then derives a new image from this one's data
-// buffer owns both from then on.
-func (img *Image) Hasher() *ImageHasher { return img.hasher }
-
-// Clone returns a deep copy of the image. The hash memo and page digests
-// are deliberately dropped: clones exist to be mutated.
+// Clone returns a deep copy of the image. The hash memo is deliberately
+// dropped: clones exist to be mutated.
 func (img *Image) Clone() *Image {
 	data := make([]byte, len(img.Data))
 	copy(data, img.Data)
