@@ -73,7 +73,7 @@ func BenchmarkFig13Geomean(b *testing.B) {
 	budget := benchBudgetNS(200)
 	var g, gSys, gImg float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13(nil, budget, 7)
+		res, err := experiments.Fig13(nil, budget, 7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func BenchmarkTable3SyntheticBugs(b *testing.B) {
 		b.Run(wl, func(b *testing.B) {
 			var row experiments.Table3Row
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Table3([]string{wl}, budget, 7, experiments.DefaultDetect())
+				res, err := experiments.Table3([]string{wl}, budget, 7, experiments.DefaultDetect(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -315,7 +315,7 @@ func BenchmarkSec54RealBugs(b *testing.B) {
 	budget := benchBudgetNS(500)
 	var detected int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RealBugs(budget, 7, experiments.DefaultDetect())
+		res, err := experiments.RealBugs(budget, 7, experiments.DefaultDetect(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -482,7 +482,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 			arena.Recycle(res)
 			arena.RecycleImage(res.Image)
-			if m != nil && i%20 == 19 { // the engine's SampleEveryExecs cadence
+			if m != nil && i%20 == 19 { // the engine's sampling cadence (sampleEveryExecs)
 				m.MergeShard(shard)
 			}
 		}

@@ -54,9 +54,7 @@ var (
 	list     = flag.Bool("list", false, "list workloads and configurations, then exit")
 
 	// Two-stage pipeline (the original tool's --cores-stage1/--cores-stage2).
-	coresStage1   = flag.Int("cores-stage1", 0, "stage-1 core budget (0 = -workers); stage 1 fuzzes inputs and generates crash images")
 	coresStage2   = flag.Int("cores-stage2", 0, "per-sub-campaign core budget; > 0 enables stage 2, which fuzzes inputs from promoted crash images' recovered state")
-	disableStage2 = flag.Bool("disable-stage2", false, "force stage 2 off even when -cores-stage2 is set; the session reproduces the single-loop trajectory byte-for-byte")
 	stage2Budget  = flag.Int64("stage2-budget-ms", 0, "simulated-time budget of one stage-2 sub-campaign in milliseconds (0 = budget-ms/4)")
 	stage2MaxCamp = flag.Int("stage2-max-campaigns", 0, "cap on stage-2 sub-campaigns per session (0 = 4)")
 	trackRecovery = flag.Bool("track-recovery", false, "account recovery-path PM coverage for crash-image executions (read-only; implied by -cores-stage2)")
@@ -107,7 +105,7 @@ var flagGroups = []struct {
 }{
 	{"Session", []string{"workload", "config", "budget-ms", "seed", "workers", "list"}},
 	{"Two-stage pipeline (maps to the original tool's --cores-stage1/--cores-stage2)",
-		[]string{"cores-stage1", "cores-stage2", "disable-stage2", "stage2-budget-ms", "stage2-max-campaigns", "track-recovery"}},
+		[]string{"cores-stage2", "stage2-budget-ms", "stage2-max-campaigns", "track-recovery"}},
 	{"Distributed fleet & resume", []string{"sync-dir", "fuzzer-id", "sync-every", "checkpoint", "checkpoint-at-ms", "resume"}},
 	{"Bug injection", []string{"syn-bug", "real-bug"}},
 	{"Corpus I/O", []string{"out", "in", "series-out", "show-tree"}},
@@ -257,11 +255,7 @@ func main() {
 		cfg.Workers = *workers
 		cfg.OracleCheck = *oracleCheck || *reproOut != ""
 		cfg.InvariantCheck = *invCheck
-		cfg.Stage1Workers = *coresStage1
 		cfg.Stage2Workers = *coresStage2
-		if *disableStage2 {
-			cfg.Stage2Workers = 0
-		}
 		cfg.Stage2BudgetNS = *stage2Budget * 1_000_000
 		cfg.Stage2MaxCampaigns = *stage2MaxCamp
 		cfg.TrackRecovery = *trackRecovery
@@ -498,19 +492,19 @@ func runExperiment(name, workloadList string, budget, seed int64) error {
 	})
 	switch name {
 	case "fig13":
-		res, err := experiments.Fig13Progress(wls, budget, seed, progress)
+		res, err := experiments.Fig13(wls, budget, seed, progress)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.Render())
 	case "table3":
-		res, err := experiments.Table3Progress(wls, budget, seed, experiments.DefaultDetect(), progress)
+		res, err := experiments.Table3(wls, budget, seed, experiments.DefaultDetect(), progress)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.Render())
 	case "realbugs":
-		res, err := experiments.RealBugsProgress(budget, seed, experiments.DefaultDetect(), progress)
+		res, err := experiments.RealBugs(budget, seed, experiments.DefaultDetect(), progress)
 		if err != nil {
 			return err
 		}

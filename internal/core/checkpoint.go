@@ -4,7 +4,8 @@ package core
 // session at a round boundary — queue entries and scheduler state, the
 // queue's and worker 0's RNG draw counts, virgin maps, the simulated
 // clock, the image store's blobs, worker 0's cache order, stage-2
-// promotion state, and the seed warm-up position — so a resumed session
+// promotion state, the invariant oracle's state, and the seed warm-up
+// position — so a resumed session
 // with a larger budget continues the identical deterministic trajectory:
 // the resumed run's JSONL trace concatenated onto the checkpointed run's
 // is byte-identical to an uninterrupted session's (golden-pinned in CI).
@@ -21,17 +22,39 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"pmfuzz/internal/fuzz"
 	"pmfuzz/internal/imgstore"
 	"pmfuzz/internal/instr"
+	"pmfuzz/internal/invariant"
 )
 
-// checkpointVersion guards the state format. Version 3 keys images by
-// the paged content hash (pmem.ContentHash); a version-2 checkpoint's
-// image IDs are flat SHA-256 digests its blobs no longer hash to.
-const checkpointVersion = 3
+// checkpointVersion guards the state format. Version 4 adds the
+// invariant oracle's state and drops the Config fields that became
+// engine constants; version 3 keyed images by the paged content hash
+// (pmem.ContentHash), where version 2's flat digests no longer match.
+const checkpointVersion = 4
+
+// checkDraws bounds each RNG draw count of a checkpoint taken at
+// clockNS: one draw per 100 simulated ns plus 2^20 of slack, and never
+// more than 2^32. Restore replays draws one at a time (about 3.5 ns
+// each), so a short session restores fast and no restore spends more
+// than about 15 s there. No real session comes near either bound: an
+// execution charges at least 80 µs of simulated time, so the first
+// allows over 800 draws per execution, where sessions make about 30
+// (27–29 mutator and 2–2.5 scheduler draws on btree and redis at seed
+// 42, about 182 per simulated ms); at that rate 2^32 draws take some
+// 6.5 simulated hours, over a day of wall time on the one worker a
+// checkpointed session runs. Save checks too, so no session writes a
+// checkpoint that Restore rejects.
+func checkDraws(clockNS int64, queue, mut uint64) error {
+	if limit := min(uint64(clockNS)/100+1<<20, 1<<32); queue > limit || mut > limit {
+		return fmt.Errorf("core: checkpoint RNG draws %d/%d exceed %d at clock %dns", queue, mut, limit, clockNS)
+	}
+	return nil
+}
 
 type ckptBlob struct {
 	ID   string `json:"id"`
@@ -43,6 +66,19 @@ type ckptPromoter struct {
 	SeenIDs    []string `json:"seen_ids"`
 	SeenClass  []uint64 `json:"seen_class"`
 	Promoted   int      `json:"promoted"`
+}
+
+// ckptInvariant is the invariant oracle's state: its counters, and the
+// frozen set as pminv text or — while mining is unfinished — the queue
+// IDs of the entries fed to the miner, which restore feeds it again.
+type ckptInvariant struct {
+	Set        string `json:"set,omitempty"`
+	Fed        []int  `json:"fed,omitempty"`
+	Obs        int    `json:"obs"`
+	Mined      int    `json:"mined"`
+	Checks     int    `json:"checks"`
+	Violations int    `json:"violations"`
+	Dropped    int    `json:"dropped"`
 }
 
 type checkpointState struct {
@@ -71,6 +107,7 @@ type checkpointState struct {
 	CacheOrder      []string       `json:"cache_order"`
 	StoreStats      imgstore.Stats `json:"store_stats"`
 	Promoter        *ckptPromoter  `json:"promoter,omitempty"`
+	Invariant       *ckptInvariant `json:"invariant,omitempty"`
 }
 
 // EnableCheckpoint puts the session in checkpoint mode: leasing stops at
@@ -83,7 +120,7 @@ type checkpointState struct {
 // uninterrupted session. Only Workers=1 sessions checkpoint — the other
 // workers' private state is not serialized.
 func (f *Fuzzer) EnableCheckpoint(atNS int64) error {
-	if f.cfg.stage1Workers() != 1 {
+	if f.cfg.Workers != 1 {
 		return errors.New("core: checkpoint requires a single-worker session")
 	}
 	if atNS <= 0 || atNS > f.cfg.BudgetNS {
@@ -96,7 +133,7 @@ func (f *Fuzzer) EnableCheckpoint(atNS int64) error {
 // SaveCheckpoint serializes the session after Run returned in
 // checkpoint mode.
 func (f *Fuzzer) SaveCheckpoint() ([]byte, error) {
-	if f.cfg.stage1Workers() != 1 {
+	if f.cfg.Workers != 1 {
 		return nil, errors.New("core: checkpoint requires a single-worker session")
 	}
 	if f.lead == nil {
@@ -123,8 +160,23 @@ func (f *Fuzzer) SaveCheckpoint() ([]byte, error) {
 		MutDraws:        f.lead.mut.RNGDraws(),
 		StoreStats:      f.store.Stats(),
 	}
+	if err := checkDraws(st.ClockNS, st.QueueDraws, st.MutDraws); err != nil {
+		return nil, err
+	}
 	if f.recVirgin != nil {
 		st.RecVirgin = f.recVirgin.Bytes()
+	}
+	if f.invCk != nil {
+		ci := &ckptInvariant{
+			Obs: f.invObs, Mined: f.invStats.mined, Checks: f.invStats.checks,
+			Violations: f.invStats.violations, Dropped: f.invStats.dropped,
+		}
+		if f.invSet != nil {
+			ci.Set = string(f.invSet.Marshal())
+		} else {
+			ci.Fed = f.invFed
+		}
+		st.Invariant = ci
 	}
 	for msg := range f.faultMsgs {
 		st.FaultMsgs = append(st.FaultMsgs, msg)
@@ -186,7 +238,7 @@ func PeekCheckpointConfig(data []byte) (Config, error) {
 // so the resumed run continues past the checkpoint). Must be called
 // before Run.
 func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
-	if f.cfg.stage1Workers() != 1 {
+	if f.cfg.Workers != 1 {
 		return errors.New("core: resume requires a single-worker session")
 	}
 	var st checkpointState
@@ -203,8 +255,16 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 	if st.Config.Features != f.cfg.Features {
 		return errors.New("core: checkpoint feature set differs from session")
 	}
-	if f.cfg.BudgetNS < st.ClockNS {
-		return fmt.Errorf("core: resume budget %dns is before the checkpoint clock %dns", f.cfg.BudgetNS, st.ClockNS)
+	if st.ClockNS < 0 || f.cfg.BudgetNS < st.ClockNS {
+		return fmt.Errorf("core: checkpoint clock %dns outside the resume budget %dns", st.ClockNS, f.cfg.BudgetNS)
+	}
+	// The scheduler indexes entries by cursor modulo the queue length, so
+	// a negative cursor (or one about to overflow) would panic the run.
+	if st.QueueCursor < 0 || st.QueueCursor > math.MaxInt/2 {
+		return fmt.Errorf("core: checkpoint queue cursor %d out of range", st.QueueCursor)
+	}
+	if err := checkDraws(st.ClockNS, st.QueueDraws, st.MutDraws); err != nil {
+		return err
 	}
 
 	// Image store: re-admit every blob in its native encoding. Deltas
@@ -243,7 +303,6 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 		return fmt.Errorf("core: restore cache: %w", err)
 	}
 	lead.mut.RestoreRNG(st.MutDraws)
-	f.store.SetStats(st.StoreStats)
 
 	// Queue: rebuild in ID order over a fresh scheduler, then land the
 	// cursor and RNG on their recorded states.
@@ -252,6 +311,9 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 		q.SetStage2Routing(true)
 	}
 	for i, e := range st.Entries {
+		if e == nil {
+			return fmt.Errorf("core: checkpoint entry %d is null", i)
+		}
 		if e.ID != i {
 			return fmt.Errorf("core: checkpoint entry %d has ID %d", i, e.ID)
 		}
@@ -315,8 +377,60 @@ func (f *Fuzzer) RestoreCheckpoint(data []byte) error {
 		}
 	}
 
+	if f.invCk != nil && st.Invariant != nil {
+		if err := f.restoreInvariant(st.Invariant); err != nil {
+			return err
+		}
+	}
+	// Last: re-observing mined entries decodes their images.
+	f.store.SetStats(st.StoreStats)
+
 	f.warmNext, f.warmEnd = st.WarmNext, st.WarmEnd
 	f.lead = lead
 	f.resumed = true
+	return nil
+}
+
+// restoreInvariant reinstates the invariant oracle's counters and its
+// frozen set or, while mining was unfinished, the miner's evidence: it
+// feeds the miner the recorded entries again, each with its input and
+// stored image, through a throwaway cache so neither the clock nor any
+// cache order moves.
+func (f *Fuzzer) restoreInvariant(ci *ckptInvariant) error {
+	f.invObs = ci.Obs
+	f.invStats = invStats{mined: ci.Mined, checks: ci.Checks, violations: ci.Violations, dropped: ci.Dropped}
+	if ci.Set != "" {
+		set, err := invariant.ParseSet([]byte(ci.Set))
+		if err != nil {
+			return fmt.Errorf("core: checkpoint invariant set: %w", err)
+		}
+		if set.Workload != f.cfg.Workload {
+			return fmt.Errorf("core: checkpoint invariant set is for %q", set.Workload)
+		}
+		f.invSet = set
+		return nil
+	}
+	images := f.store.NewCache(0)
+	clean := 0
+	for _, id := range ci.Fed {
+		e := f.queue.Get(id)
+		if e == nil {
+			return fmt.Errorf("core: checkpoint invariant miner references entry %d", id)
+		}
+		tc := f.testCase(e.Input, nil)
+		if e.HasImage {
+			img, err := images.Get(e.ImageID, nil)
+			if err != nil {
+				return fmt.Errorf("core: checkpoint invariant miner entry %d: %w", id, err)
+			}
+			tc.Image = img
+		}
+		if f.mineObserve(id, tc) {
+			clean++
+		}
+	}
+	if clean != ci.Obs || clean >= invariantMineObs {
+		return fmt.Errorf("core: checkpoint invariant miner replays %d clean observations, recorded %d", clean, ci.Obs)
+	}
 	return nil
 }

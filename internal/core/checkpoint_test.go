@@ -138,6 +138,42 @@ func TestCheckpointResumeTwoStage(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeInvariant pins the contract with the invariant
+// oracle on: one cut while the miner is still observing (btree at seed
+// 42 freezes its set at 1.82 sim-ms) and one after the set froze. The
+// resumed half must carry on the miner's evidence, the frozen set and
+// the check cap, so its trace continues the uninterrupted one exactly.
+func TestCheckpointResumeInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("checkpoint golden replay in -short mode")
+	}
+	cfg, err := DefaultConfig("btree", PMFuzzAll, 20_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.InvariantCheck = true
+	full, wantRes, _ := ckptTraceRun(t, cfg, nil)
+	if wantRes.InvariantSet == nil || wantRes.InvariantChecks == 0 {
+		t.Fatalf("uninterrupted session froze no set or ran no checks (%d checks)", wantRes.InvariantChecks)
+	}
+	for _, b1 := range []int64{1_000_000, 11_000_000} {
+		got, res := checkpointAt(t, cfg, b1, cfg.BudgetNS)
+		if !bytes.Equal(got, full) {
+			t.Errorf("b1=%dns: concatenated checkpoint+resume trace differs from uninterrupted trace (%d vs %d bytes)",
+				b1, len(got), len(full))
+		}
+		if res.InvariantSet == nil || !bytes.Equal(res.InvariantSet.Marshal(), wantRes.InvariantSet.Marshal()) {
+			t.Errorf("b1=%dns: resumed session froze a different invariant set", b1)
+		}
+		if res.InvariantChecks != wantRes.InvariantChecks || res.InvariantViolations != wantRes.InvariantViolations ||
+			res.InvariantsDropped != wantRes.InvariantsDropped {
+			t.Errorf("b1=%dns: resumed invariant counters (checks=%d violations=%d dropped=%d) != uninterrupted (%d/%d/%d)",
+				b1, res.InvariantChecks, res.InvariantViolations, res.InvariantsDropped,
+				wantRes.InvariantChecks, wantRes.InvariantViolations, wantRes.InvariantsDropped)
+		}
+	}
+}
+
 // TestCheckpointRejects pins the guard rails: parallel sessions cannot
 // checkpoint or resume, and a checkpoint only restores into a session
 // with the same workload, seed, and feature set.
@@ -203,19 +239,24 @@ func TestCheckpointRejects(t *testing.T) {
 		t.Error("RestoreCheckpoint accepted a 2-worker session")
 	}
 
-	// A version-2 checkpoint keys its images by the flat image hash.
-	v2 := bytes.Replace(blob, []byte(`"version":3`), []byte(`"version":2`), 1)
-	if bytes.Equal(v2, blob) {
-		t.Fatal("checkpoint carries no version 3 field")
-	}
-	fv, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fv.RestoreCheckpoint(v2); err == nil || !strings.Contains(err.Error(), "checkpoint version 2 (want 3)") {
-		t.Errorf("RestoreCheckpoint of a version-2 checkpoint: err = %v", err)
-	}
-	if _, err := PeekCheckpointConfig(v2); err == nil || !strings.Contains(err.Error(), "checkpoint version 2 (want 3)") {
-		t.Errorf("PeekCheckpointConfig of a version-2 checkpoint: err = %v", err)
+	// A version-2 checkpoint keys its images by the flat image hash; a
+	// version-3 one lacks the invariant oracle's state and still carries
+	// the Config fields that became engine constants.
+	for _, old := range []string{"2", "3"} {
+		stale := bytes.Replace(blob, []byte(`"version":4`), []byte(`"version":`+old), 1)
+		if bytes.Equal(stale, blob) {
+			t.Fatal("checkpoint carries no version 4 field")
+		}
+		want := "checkpoint version " + old + " (want 4)"
+		fv, err := New(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fv.RestoreCheckpoint(stale); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RestoreCheckpoint of a version-%s checkpoint: err = %v", old, err)
+		}
+		if _, err := PeekCheckpointConfig(stale); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PeekCheckpointConfig of a version-%s checkpoint: err = %v", old, err)
+		}
 	}
 }

@@ -85,13 +85,6 @@ type Config struct {
 	// case.
 	ProbFailRate  float64
 	ProbFailSeeds int
-	// ImageCacheCap is the decompressed-image cache size used when
-	// SysOpt is on.
-	ImageCacheCap int
-	// SampleEveryExecs sets the coverage time-series sampling interval.
-	SampleEveryExecs int
-	// MaxCommands caps command lines per execution (0 = default).
-	MaxCommands int
 	// OracleCheck runs the differential crash-consistency oracle
 	// (internal/oracle) on favored new-PM-path entries after image
 	// harvest: every crash image of the entry's barrier sweep must
@@ -99,12 +92,9 @@ type Config struct {
 	// Violations are recorded as faults and minimized into repro bundles
 	// (Result.Repros). The oracle's replays run off the simulated clock
 	// on private arenas, so enabling it never changes the session's
-	// trajectory, coverage, or image stream. Default off.
+	// trajectory, coverage, or image stream. Default off. At most
+	// oracleMaxChecks sweeps run per session.
 	OracleCheck bool
-	// OracleMaxChecks caps oracle sweeps per session (0 = default cap);
-	// each check costs one journaled re-execution plus one recovery per
-	// ordering point.
-	OracleMaxChecks int
 	// InvariantCheck runs the annotation-free invariant oracle
 	// (internal/invariant) beside the fuzzing loop: the first few
 	// favored new-PM-path entries are mined for likely ordering,
@@ -135,14 +125,12 @@ type Config struct {
 	// entries) and stage 2 spawns per-image sub-campaigns that fuzz
 	// command inputs from the *recovered* image as the start state.
 	//
-	// Stage1Workers is stage 1's core budget (0 = Workers).
-	// Stage2Workers is each sub-campaign's core budget; > 0 enables the
-	// pipeline, 0 (the default) disables stage 2 entirely and reproduces
-	// the single-stage trajectory byte-for-byte. Each sub-campaign runs
-	// on the same lease engine as stage 1, whatever its worker count.
-	// With stage 2 on, a session is deterministic per
-	// (Seed, Workers, Stage1Workers, Stage2Workers, Stage2BudgetNS).
-	Stage1Workers int
+	// Stage 1 runs on Workers. Stage2Workers is each sub-campaign's core
+	// budget; > 0 enables the pipeline, 0 (the default) disables stage 2
+	// entirely and reproduces the single-stage trajectory byte-for-byte.
+	// Each sub-campaign runs on the same lease engine as stage 1,
+	// whatever its worker count. With stage 2 on, a session is
+	// deterministic per (Seed, Workers, Stage2Workers, Stage2BudgetNS).
 	Stage2Workers int
 	// Stage2BudgetNS is the simulated-time budget of one stage-2
 	// sub-campaign (0 = BudgetNS/4). Sub-campaigns extend the session's
@@ -171,13 +159,23 @@ type Config struct {
 // twoStage reports whether the stage-2 pipeline is enabled.
 func (c Config) twoStage() bool { return c.Stage2Workers > 0 }
 
-// stage1Workers resolves stage 1's core budget.
-func (c Config) stage1Workers() int {
-	if c.Stage1Workers > 0 {
-		return c.Stage1Workers
-	}
-	return c.Workers
-}
+// Engine constants: the defaults every comparison point runs with.
+const (
+	// imageCacheCap is the decompressed-image cache size used when
+	// SysOpt is on.
+	imageCacheCap = 64
+	// sampleEveryExecs is the coverage time-series sampling interval.
+	sampleEveryExecs = 20
+	// maxCommands caps command lines per execution. Each execution is
+	// short (the paper caps executions at 150 ms, §4.6): deep persistent
+	// states are reached by accumulating across images, not within one
+	// run. This is what makes image generation matter.
+	maxCommands = 12
+	// oracleMaxChecks caps differential-oracle sweeps per session; each
+	// check costs one journaled re-execution plus one recovery per
+	// ordering point.
+	oracleMaxChecks = 64
+)
 
 // DefaultConfig returns a ready-to-run configuration for the comparison
 // point, with the defaults the experiments use.
@@ -190,17 +188,10 @@ func DefaultConfig(workload string, name ConfigName, budgetNS int64, seed int64)
 		return Config{}, err
 	}
 	cfg := Config{
-		Workload:         workload,
-		Seed:             seed,
-		Features:         feats,
-		BudgetNS:         budgetNS,
-		ImageCacheCap:    64,
-		SampleEveryExecs: 20,
-		// Each execution is short (the paper caps executions at 150 ms,
-		// §4.6): deep persistent states are reached by accumulating
-		// across images, not within one run. This is what makes image
-		// generation matter.
-		MaxCommands: 12,
+		Workload: workload,
+		Seed:     seed,
+		Features: feats,
+		BudgetNS: budgetNS,
 		// The paper's artifacts (Figure 13, Table 3, §5.4) are
 		// single-instance trajectories, so experiment configs default to
 		// one worker; callers opt into the fleet with Config.Workers or

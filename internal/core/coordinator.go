@@ -54,7 +54,7 @@ func (f *Fuzzer) runFleet(n int) *Result {
 	if !f.resumed {
 		f.warmNext, f.warmEnd = 0, f.queue.Len()
 	}
-	sampleBucket := f.execs / max(1, f.cfg.SampleEveryExecs)
+	sampleBucket := f.execs / sampleEveryExecs
 	active := make([]bool, n)
 	for i := range active {
 		active[i] = f.clock.Now() < f.cfg.BudgetNS
@@ -182,9 +182,8 @@ func (f *Fuzzer) mergeBatch(b *workerBatch, sampleBucket *int) {
 		// Sample against the merged time axis whenever the fleet-wide
 		// execution count crosses a sampling interval (one outcome can
 		// carry several executions from the crash-image sweep).
-		interval := max(1, f.cfg.SampleEveryExecs)
-		if f.execs/interval != *sampleBucket {
-			*sampleBucket = f.execs / interval
+		if f.execs/sampleEveryExecs != *sampleBucket {
+			*sampleBucket = f.execs / sampleEveryExecs
 			f.sample(false)
 		}
 	}

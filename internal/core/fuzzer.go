@@ -133,6 +133,10 @@ type Fuzzer struct {
 	invMiner *invariant.Miner
 	invSet   *invariant.Set
 	invObs   int
+	// invFed lists the queue IDs of the entries fed to invMiner, in
+	// order: what a checkpoint taken before the set freezes replays to
+	// rebuild the miner's evidence.
+	invFed   []int
 	invStats invStats
 
 	// tele is the attached telemetry session (nil when disabled); shard
@@ -214,7 +218,7 @@ func New(cfg Config, bugSet *bugs.Set) (*Fuzzer, error) {
 	}
 	cacheCap := 0
 	if cfg.Features.SysOpt {
-		cacheCap = cfg.ImageCacheCap
+		cacheCap = imageCacheCap
 	}
 	dict := fuzz.DictFor(seeds)
 	f := &Fuzzer{
@@ -429,17 +433,11 @@ type SeedMeta struct {
 	FoundSimNS int64
 }
 
-// AddSeed injects an extra seed test case (input plus optional starting
-// image) before Run — used to resume fuzzing from an exported corpus.
-// Without metadata the entry enters as a high-priority root.
-func (f *Fuzzer) AddSeed(input []byte, img *pmem.Image) error {
-	_, err := f.AddSeedMeta(input, img, nil)
-	return err
-}
-
-// AddSeedMeta is AddSeed with explicit corpus metadata (nil behaves
-// like AddSeed). It returns the new entry's queue ID so importers can
-// remap parent references for subsequent entries.
+// AddSeedMeta injects an extra seed test case (input plus optional
+// starting image) before Run — used to resume fuzzing from an exported
+// corpus. Without metadata (nil) the entry enters as a high-priority
+// root. It returns the new entry's queue ID so importers can remap
+// parent references for subsequent entries.
 func (f *Fuzzer) AddSeedMeta(input []byte, img *pmem.Image, meta *SeedMeta) (int, error) {
 	e := &fuzz.Entry{
 		Input:    append([]byte(nil), input...),
@@ -529,7 +527,7 @@ func (f *Fuzzer) CorpusQueue() *fuzz.Queue { return f.queue }
 // private coverage shards while a coordinator merges bitmaps,
 // deduplicates PM-path signatures and faults, and grows the corpus.
 func (f *Fuzzer) Run() *Result {
-	workers := f.cfg.stage1Workers()
+	workers := f.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -579,9 +577,6 @@ func (f *Fuzzer) recoverySites() int {
 // maxRepros caps the minimized repro bundles retained per session.
 const maxRepros = 8
 
-// defaultOracleMaxChecks bounds oracle sweeps when the config doesn't.
-const defaultOracleMaxChecks = 64
-
 // oracleScan runs the differential crash-consistency oracle on one
 // favored test case: sweep its ordering points, recover every crash
 // image, and require each recovered state to be explainable by the
@@ -592,23 +587,13 @@ func (f *Fuzzer) oracleScan(parent *fuzz.Entry, input []byte, img *pmem.Image, s
 	if f.oracleCk == nil {
 		return
 	}
-	maxChecks := f.cfg.OracleMaxChecks
-	if maxChecks <= 0 {
-		maxChecks = defaultOracleMaxChecks
-	}
-	if f.oracleChecks >= maxChecks {
+	if f.oracleChecks >= oracleMaxChecks {
 		return
 	}
 	f.oracleChecks++
-	tc := executor.TestCase{
-		Workload: f.cfg.Workload,
-		Input:    input,
-		Image:    img,
-		Bugs:     f.bugs,
-		Seed:     f.cfg.Seed,
-	}
+	tc := f.testCase(input, img)
 	rep := f.oracleCk.Check(tc, oracle.Options{
-		MaxCommands:   f.cfg.MaxCommands,
+		MaxCommands:   maxCommands,
 		MaxViolations: 1,
 		NoPrune:       f.cfg.NoPruneSweep,
 	})
@@ -632,7 +617,7 @@ func (f *Fuzzer) oracleScan(parent *fuzz.Entry, input []byte, img *pmem.Image, s
 		f.addFault(parent, input, v.String(), simNS)
 		if fresh && f.reproPrior+len(f.repros) < maxRepros {
 			f.repros = append(f.repros,
-				f.oracleCk.Minimize(tc, v, oracle.Options{MaxCommands: f.cfg.MaxCommands}))
+				f.oracleCk.Minimize(tc, v, oracle.Options{MaxCommands: maxCommands}))
 		}
 		if parent != nil {
 			// Flag the entry for the stage-2 promotion policy: its crash
@@ -671,18 +656,11 @@ func (f *Fuzzer) invariantScan(parent *fuzz.Entry, input []byte, img *pmem.Image
 	if f.invCk == nil {
 		return
 	}
-	tc := executor.TestCase{
-		Workload: f.cfg.Workload,
-		Input:    input,
-		Image:    img,
-		Bugs:     f.bugs,
-		Seed:     f.cfg.Seed,
-	}
-	iopts := invariant.Options{MaxCommands: f.cfg.MaxCommands}
+	tc := f.testCase(input, img)
 	if f.invSet == nil {
 		// Mining phase. A faulting prefix just skips the observation —
 		// mining requires clean executions.
-		if err := f.invCk.Observe(f.invMiner, tc, iopts); err != nil {
+		if !f.mineObserve(parent.ID, tc) {
 			return
 		}
 		f.invObs++
@@ -700,9 +678,11 @@ func (f *Fuzzer) invariantScan(parent *fuzz.Entry, input []byte, img *pmem.Image
 	if f.invStats.checks >= maxChecks {
 		return
 	}
-	iopts.MaxViolations = 1
-	iopts.NoPrune = f.cfg.NoPruneSweep
-	rep := f.invCk.Check(tc, f.invSet, iopts)
+	rep := f.invCk.Check(tc, f.invSet, invariant.Options{
+		MaxCommands:   maxCommands,
+		MaxViolations: 1,
+		NoPrune:       f.cfg.NoPruneSweep,
+	})
 	f.invStats.checks++
 	f.invStats.violations += len(rep.Violations)
 	f.invStats.dropped += len(rep.Dropped)
@@ -711,7 +691,7 @@ func (f *Fuzzer) invariantScan(parent *fuzz.Entry, input []byte, img *pmem.Image
 		fresh := !f.faultMsgs[v.String()]
 		f.addFault(parent, input, v.String(), simNS)
 		if fresh && f.reproPrior+len(f.repros) < maxRepros {
-			if b := f.invCk.Minimize(tc, v, f.invSet, invariant.Options{MaxCommands: f.cfg.MaxCommands}); b != nil {
+			if b := f.invCk.Minimize(tc, v, f.invSet, invariant.Options{MaxCommands: maxCommands}); b != nil {
 				f.repros = append(f.repros, b)
 			}
 		}
@@ -719,6 +699,20 @@ func (f *Fuzzer) invariantScan(parent *fuzz.Entry, input []byte, img *pmem.Image
 			parent.OracleFlagged = true
 		}
 	}
+}
+
+// mineObserve feeds queue entry id's test case to the miner and
+// records the entry, so a checkpoint can replay the miner's evidence.
+// It reports whether the case ran clean: a faulting case still feeds
+// the command prefixes that ran before the fault.
+func (f *Fuzzer) mineObserve(id int, tc executor.TestCase) bool {
+	f.invFed = append(f.invFed, id)
+	return f.invCk.Observe(f.invMiner, tc, invariant.Options{MaxCommands: maxCommands}) == nil
+}
+
+// testCase is the session's test case for an input on a start image.
+func (f *Fuzzer) testCase(input []byte, img *pmem.Image) executor.TestCase {
+	return executor.TestCase{Workload: f.cfg.Workload, Input: input, Image: img, Bugs: f.bugs, Seed: f.cfg.Seed}
 }
 
 // obsInvariant emits one "t":"inv" trace event: the mined-set freeze

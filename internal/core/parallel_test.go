@@ -266,7 +266,7 @@ func TestProbFailPlacementsDiffer(t *testing.T) {
 	}
 	w := newWorker(f, 0)
 	tc := executor.TestCase{Workload: cfg.Workload, Input: f.seedInput, Seed: cfg.Seed}
-	res := executor.Run(tc, executor.Options{Clock: w.clock, MaxCommands: cfg.MaxCommands})
+	res := executor.Run(tc, executor.Options{Clock: w.clock, MaxCommands: maxCommands})
 	var placed [2][32]byte
 	for k := range placed {
 		o := &execOutcome{execs: 1}

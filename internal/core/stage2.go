@@ -158,7 +158,6 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, perBudget int
 func (f *Fuzzer) newCampaign(root *fuzz.Entry, recID imgstore.ID, iter, campaign int, perBudget int64) *Fuzzer {
 	cfg := f.cfg
 	cfg.Workers = f.cfg.Stage2Workers
-	cfg.Stage1Workers = 0
 	cfg.Stage2Workers = 0 // campaigns never recurse
 	cfg.Seed = f.cfg.Seed + stage2SeedPrime*int64(campaign+1)
 	cfg.BudgetNS = f.clock.Now() + perBudget

@@ -247,7 +247,6 @@ func TestTwoStageParallelDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Workers = 2
-		cfg.Stage1Workers = 2
 		cfg.Stage2Workers = 2
 		cfg.Stage2BudgetNS = 8_000_000
 		cfg.Stage2MaxCampaigns = 2
@@ -276,7 +275,7 @@ func summary(r *Result) map[string]int64 {
 }
 
 // TestStage2DisabledMatchesGolden pins the compatibility half of the
-// determinism contract: Stage2Workers=0 (the -disable-stage2 path) must
+// determinism contract: Stage2Workers=0 (no -cores-stage2) must
 // reproduce the Workers=1 golden trajectory byte-for-byte, even with
 // recovery tracking on (it is strictly read-only).
 func TestStage2DisabledMatchesGolden(t *testing.T) {
@@ -285,7 +284,7 @@ func TestStage2DisabledMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workers = 1
-	cfg.Stage2Workers = 0 // -disable-stage2
+	cfg.Stage2Workers = 0 // no -cores-stage2
 	cfg.TrackRecovery = true
 	f, err := New(cfg, nil)
 	if err != nil {

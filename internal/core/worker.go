@@ -136,7 +136,7 @@ type worker struct {
 func newWorkerState(f *Fuzzer, id int) *worker {
 	cacheCap := 0
 	if f.cfg.Features.SysOpt {
-		cacheCap = f.cfg.ImageCacheCap
+		cacheCap = imageCacheCap
 	}
 	return &worker{
 		mut:   fuzz.NewMutator(f.cfg.Seed+2+int64(id)*workerSeedPrime, f.seedDict),
@@ -293,7 +293,7 @@ func (w *worker) execCase(parent *fuzz.Entry, input []byte, img *imageRef) *exec
 	res := executor.Run(tc, executor.Options{
 		Clock:         w.clock,
 		ImageCached:   cached || (tc.Image == nil && w.cfg.Features.SysOpt),
-		MaxCommands:   w.cfg.MaxCommands,
+		MaxCommands:   maxCommands,
 		Arena:         w.arena,
 		Shard:         w.shard,
 		RecordSetupPM: w.trackRecovery && parent != nil && parent.IsCrashImage && tc.Image != nil,
@@ -370,7 +370,7 @@ func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, 
 		return
 	}
 	if w.clock.Now() < w.cfg.BudgetNS {
-		sw := executor.SweepRun(tc, executor.Options{Clock: w.clock, MaxCommands: w.cfg.MaxCommands, Arena: w.arena, Shard: w.shard})
+		sw := executor.SweepRun(tc, executor.Options{Clock: w.clock, MaxCommands: maxCommands, Arena: w.arena, Shard: w.shard})
 		o.execs++
 		w.execs++
 		sw.EnableIncrementalHash()
@@ -396,7 +396,7 @@ func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, 
 	for s := 0; s < w.cfg.ProbFailSeeds && w.cfg.ProbFailRate > 0 && w.clock.Now() < w.cfg.BudgetNS; s++ {
 		tcp := tc
 		tcp.Injector = pmem.NewProbabilisticFailure(w.cfg.Seed+int64(w.id)*workerSeedPrime+int64(w.execs)*131, w.cfg.ProbFailRate)
-		crash := executor.Run(tcp, executor.Options{Clock: w.clock, MaxCommands: w.cfg.MaxCommands, Arena: w.arena, Shard: w.shard})
+		crash := executor.Run(tcp, executor.Options{Clock: w.clock, MaxCommands: maxCommands, Arena: w.arena, Shard: w.shard})
 		o.execs++
 		w.execs++
 		if crash.Crashed && crash.Image != nil {

@@ -88,9 +88,10 @@ func (s *SweepResult) commandsAt(x int) int {
 	return sort.SearchInts(s.cmdStartOps, x)
 }
 
-func (s *SweepResult) charge(before int) {
+// charge books delta lines applied by a walk over the journal.
+func (s *SweepResult) charge(lines int) {
 	if s.opts.Clock != nil {
-		s.opts.Clock.ChargeSweepMaterialize(s.cursor.AppliedLines() - before)
+		s.opts.Clock.ChargeSweepMaterialize(lines)
 	}
 }
 
@@ -109,7 +110,7 @@ func (s *SweepResult) Crash(b int) *Result {
 	cp := s.sweep.Checkpoint(b)
 	before := s.cursor.AppliedLines()
 	data := s.cursor.ImageData(b)
-	s.charge(before)
+	s.charge(s.cursor.AppliedLines() - before)
 
 	img := &pmem.Image{Layout: s.layout, Data: data}
 	if h, ok := s.cursor.ImageHash(s.layout); ok {
@@ -146,7 +147,7 @@ func (s *SweepResult) PreFenceCrash(b int) *Result {
 	defer s.opts.Shard.End(obs.StageSweep, s.opts.Shard.Begin())
 	before := s.cursor.AppliedLines()
 	data := s.cursor.PreFenceData(b)
-	s.charge(before)
+	s.charge(s.cursor.AppliedLines() - before)
 
 	return &Result{
 		Tracer:      s.materializedTracer(),
@@ -212,6 +213,11 @@ func (f CrashFingerprint) ExactKey() [32]byte {
 // single forward pass over the journal, without materializing any image.
 // The slice enumerates exactly the points Crash/PreFenceCrash would
 // return non-nil for, in the order a forward sweep visits them.
+//
+// The pass walks a fresh cursor (which tracks page hashes once it
+// fingerprints), not the one Crash and PreFenceCrash materialize from:
+// that one may stand past the first point, and seeking it back would
+// rebuild and rehash the whole pool.
 func (s *SweepResult) Fingerprints(maxB int, preFence bool) []CrashFingerprint {
 	if s.sweep == nil {
 		return nil
@@ -220,7 +226,7 @@ func (s *SweepResult) Fingerprints(maxB int, preFence bool) []CrashFingerprint {
 		maxB = s.sweep.Barriers()
 	}
 	defer s.opts.Shard.End(obs.StageSweep, s.opts.Shard.Begin())
-	part := s.sweep.Partition(s.layout)
+	cur := s.sweep.Cursor()
 	n := maxB
 	if preFence {
 		n *= 2
@@ -229,7 +235,7 @@ func (s *SweepResult) Fingerprints(maxB int, preFence bool) []CrashFingerprint {
 	for b := 1; b <= maxB; b++ {
 		cp := s.sweep.Checkpoint(b)
 		if preFence {
-			if fp, ok := part.PreFence(b); ok {
+			if fp, ok := cur.PreFence(b, s.layout); ok {
 				fps = append(fps, CrashFingerprint{
 					Barrier: b, PreFence: true, Op: cp.PreOp,
 					Commands: s.commandsAt(cp.PreOp), FP: fp,
@@ -238,12 +244,10 @@ func (s *SweepResult) Fingerprints(maxB int, preFence bool) []CrashFingerprint {
 		}
 		fps = append(fps, CrashFingerprint{
 			Barrier: b, Op: cp.Op,
-			Commands: s.commandsAt(cp.Op), FP: part.Barrier(b),
+			Commands: s.commandsAt(cp.Op), FP: cur.Barrier(b, s.layout),
 		})
 	}
-	if s.opts.Clock != nil {
-		s.opts.Clock.ChargeSweepMaterialize(part.AppliedLines())
-	}
+	s.charge(cur.AppliedLines())
 	return fps
 }
 

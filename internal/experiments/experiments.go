@@ -66,13 +66,8 @@ type Fig13Result struct {
 }
 
 // Fig13 runs the coverage comparison for the given workloads (nil = all
-// eight) with the simulated budget.
-func Fig13(workloadNames []string, budgetNS int64, seed int64) (*Fig13Result, error) {
-	return Fig13Progress(workloadNames, budgetNS, seed, nil)
-}
-
-// Fig13Progress is Fig13 with a per-cell progress callback.
-func Fig13Progress(workloadNames []string, budgetNS int64, seed int64, progress Progress) (*Fig13Result, error) {
+// eight) with the simulated budget, reporting each cell to progress.
+func Fig13(workloadNames []string, budgetNS int64, seed int64, progress Progress) (*Fig13Result, error) {
 	if workloadNames == nil {
 		workloadNames = PaperWorkloads()
 	}

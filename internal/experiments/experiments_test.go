@@ -15,7 +15,7 @@ func TestFig13SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ten full fuzzing sessions are slow")
 	}
-	res, err := Fig13([]string{"btree", "hashmap-tx"}, smallBudget, 7)
+	res, err := Fig13([]string{"btree", "hashmap-tx"}, smallBudget, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestTable3SubsetDetectsBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 3 subset is slow")
 	}
-	res, err := Table3([]string{"skiplist"}, smallBudget, 7, DefaultDetect())
+	res, err := Table3([]string{"skiplist"}, smallBudget, 7, DefaultDetect(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRealBugsAllDetected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-bug reproduction is slow")
 	}
-	res, err := RealBugs(500_000_000, 7, DefaultDetect())
+	res, err := RealBugs(500_000_000, 7, DefaultDetect(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

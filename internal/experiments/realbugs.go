@@ -46,13 +46,9 @@ type RealBugsResult struct {
 }
 
 // RealBugs fuzzes each buggy program with PMFuzz and feeds the test
-// cases to the tools, reproducing the §5.4 findings.
-func RealBugs(budgetNS int64, seed int64, opts DetectOptions) (*RealBugsResult, error) {
-	return RealBugsProgress(budgetNS, seed, opts, nil)
-}
-
-// RealBugsProgress is RealBugs with a per-bug progress callback.
-func RealBugsProgress(budgetNS int64, seed int64, opts DetectOptions, progress Progress) (*RealBugsResult, error) {
+// cases to the tools, reproducing the §5.4 findings and reporting each
+// bug to progress.
+func RealBugs(budgetNS int64, seed int64, opts DetectOptions, progress Progress) (*RealBugsResult, error) {
 	out := &RealBugsResult{BudgetNS: budgetNS}
 	for b := bugs.RealBug(1); b <= bugs.NumRealBugs; b++ {
 		o, err := RealBug1(b, budgetNS, seed, opts)

@@ -40,13 +40,9 @@ type Table3Result struct {
 // Table3 injects every synthetic bug of every listed workload (nil =
 // all eight), fuzzes the buggy program under PMFuzz and AFL++ w/ SysOpt
 // (the best non-PMFuzz point, per §5.3), feeds the generated test cases
-// to the testing tools, and counts detections.
-func Table3(workloadNames []string, budgetNS int64, seed int64, opts DetectOptions) (*Table3Result, error) {
-	return Table3Progress(workloadNames, budgetNS, seed, opts, nil)
-}
-
-// Table3Progress is Table3 with a per-bug progress callback.
-func Table3Progress(workloadNames []string, budgetNS int64, seed int64, opts DetectOptions, progress Progress) (*Table3Result, error) {
+// to the testing tools, and counts detections, reporting each bug to
+// progress.
+func Table3(workloadNames []string, budgetNS int64, seed int64, opts DetectOptions, progress Progress) (*Table3Result, error) {
 	if workloadNames == nil {
 		workloadNames = PaperWorkloads()
 	}

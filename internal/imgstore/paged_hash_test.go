@@ -136,19 +136,19 @@ func TestPagedHashMatchesFullHash(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			order := rng.Perm(sw.Barriers())
 			for pass, visit := range [][]int{nil, order} {
-				part := sw.Partition(layout)
+				fpc := sw.Cursor()
 				mat := sw.Cursor()
 				for i := 0; i < sw.Barriers(); i++ {
 					b := i + 1
 					if visit != nil {
 						b = visit[i] + 1
 					}
-					if fp, ok := part.PreFence(b); ok {
+					if fp, ok := fpc.PreFence(b, layout); ok {
 						if want := fullHash([16]byte{}, layout, mat.PreFenceData(b)); fp.ImageHash != want {
 							t.Fatalf("seed %d pass %d: pre-fence point %d hash differs", seed, pass, b)
 						}
 					}
-					if want := fullHash([16]byte{}, layout, mat.ImageData(b)); part.Barrier(b).ImageHash != want {
+					if want := fullHash([16]byte{}, layout, mat.ImageData(b)); fpc.Barrier(b, layout).ImageHash != want {
 						t.Fatalf("seed %d pass %d: barrier point %d hash differs", seed, pass, b)
 					}
 				}

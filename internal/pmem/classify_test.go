@@ -41,19 +41,20 @@ func scriptSweep(t *testing.T, size int, seed int64, steps int) *Sweep {
 	return sw
 }
 
-// TestPartitionerMatchesCursor pins the equivalence layer's core claim:
-// every fingerprint component the Partitioner derives from the journal
-// equals what a materialized cursor image would yield — the image hash
-// matches Image.Hash on the cursor's bytes, the taint signature matches
-// the checkpoint's lost set, and the commit-variable count/signature
-// match the normalized prefix over the materialized data. Checked at
-// every pre-fence and barrier point, forward then out of order.
-func TestPartitionerMatchesCursor(t *testing.T) {
+// TestCursorFingerprintsMatchMaterialized pins the equivalence layer's
+// core claim: every fingerprint component a cursor derives in place
+// equals what a materialized image would yield — the image hash matches
+// Image.Hash on a second cursor's copied-out bytes, the taint signature
+// matches the checkpoint's lost set, and the commit-variable
+// count/signature match the normalized prefix over the materialized
+// data. Checked at every pre-fence and barrier point, forward then out
+// of order.
+func TestCursorFingerprintsMatchMaterialized(t *testing.T) {
 	const size, steps, layout = 4096, 400, "script"
 	for seed := int64(1); seed <= 3; seed++ {
 		sw := scriptSweep(t, size, seed, steps)
-		cur := sw.Cursor()
-		part := sw.Partition(layout)
+		mat := sw.Cursor()
+		fpc := sw.Cursor()
 
 		wantFP := func(data []byte, lost []Range, cvCount int) Fingerprint {
 			rs := sw.CommitVarsAt(cvCount)
@@ -74,20 +75,20 @@ func TestPartitionerMatchesCursor(t *testing.T) {
 		for b := 1; b <= sw.Barriers(); b++ {
 			cp := sw.Checkpoint(b)
 			if cp.PreOp >= 1 {
-				fp, ok := part.PreFence(b)
+				fp, ok := fpc.PreFence(b, layout)
 				if !ok {
 					t.Fatalf("seed %d barrier %d: PreFence refused an existing point", seed, b)
 				}
-				want := wantFP(cur.PreFenceData(b), cp.PreLost, cp.PreCommitVarCount)
+				want := wantFP(mat.PreFenceData(b), cp.PreLost, cp.PreCommitVarCount)
 				if fp != want {
 					t.Fatalf("seed %d barrier %d: pre-fence fingerprint differs:\n got %+v\nwant %+v", seed, b, fp, want)
 				}
 				points = append(points, point{b: b, preFence: true, want: want})
-			} else if _, ok := part.PreFence(b); ok {
+			} else if _, ok := fpc.PreFence(b, layout); ok {
 				t.Fatalf("seed %d barrier %d: PreFence accepted a nonexistent point", seed, b)
 			}
-			fp := part.Barrier(b)
-			want := wantFP(cur.ImageData(b), cp.Lost, cp.CommitVarCount)
+			fp := fpc.Barrier(b, layout)
+			want := wantFP(mat.ImageData(b), cp.Lost, cp.CommitVarCount)
 			if fp != want {
 				t.Fatalf("seed %d barrier %d: barrier fingerprint differs:\n got %+v\nwant %+v", seed, b, fp, want)
 			}
@@ -100,56 +101,95 @@ func TestPartitionerMatchesCursor(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			p := points[rng.Intn(len(points))]
 			if p.preFence {
-				fp, ok := part.PreFence(p.b)
+				fp, ok := fpc.PreFence(p.b, layout)
 				if !ok || fp != p.want {
 					t.Fatalf("seed %d barrier %d: random-access pre-fence fingerprint diverged", seed, p.b)
 				}
-			} else if fp := part.Barrier(p.b); fp != p.want {
+			} else if fp := fpc.Barrier(p.b, layout); fp != p.want {
 				t.Fatalf("seed %d barrier %d: random-access barrier fingerprint diverged", seed, p.b)
 			}
 		}
-		if part.AppliedLines() == 0 {
-			t.Fatalf("seed %d: partitioner applied no delta lines", seed)
+		if fpc.AppliedLines() == 0 {
+			t.Fatalf("seed %d: fingerprinting cursor applied no delta lines", seed)
 		}
 	}
 }
 
 // TestSweepCursorSeekOrder pins SweepCursor's random-access contract:
-// backward and arbitrary-order seeks rebuild from the base and produce
-// images byte-identical to a forward-only walk, for barrier and
-// pre-fence materializations alike.
+// whatever order points are visited in, the cursor's copied-out images
+// and its fingerprints equal a forward-only walk's. That covers the
+// orders the in-place pre-fence rule makes distinct: a barrier right
+// after the next barrier's pre-fence point (its PreDelta must not leak
+// into the earlier state), a repeated pre-fence point, and backward
+// seeks mixing pre-fence and barrier points.
 func TestSweepCursorSeekOrder(t *testing.T) {
-	const size, steps = 4096, 300
+	const size, steps, layout = 4096, 300, "seek"
 	sw := scriptSweep(t, size, 7, steps)
 
+	type point struct {
+		b        int
+		preFence bool
+	}
 	fwd := sw.Cursor()
-	images := make(map[int][]byte, sw.Barriers())
-	prefence := make(map[int][]byte)
+	images := make(map[point][]byte)
+	fps := make(map[point]Fingerprint)
+	var points []point
 	for b := 1; b <= sw.Barriers(); b++ {
 		if sw.Checkpoint(b).PreOp >= 1 {
-			prefence[b] = fwd.PreFenceData(b)
+			p := point{b, true}
+			images[p] = fwd.PreFenceData(b)
+			fps[p], _ = fwd.PreFence(b, layout)
+			points = append(points, p)
 		}
-		images[b] = fwd.ImageData(b)
+		p := point{b, false}
+		images[p] = fwd.ImageData(b)
+		fps[p] = fwd.Barrier(b, layout)
+		points = append(points, p)
 	}
 
-	// Strictly backward on one persistent cursor.
-	back := sw.Cursor()
-	for b := sw.Barriers(); b >= 1; b-- {
-		if !bytes.Equal(back.ImageData(b), images[b]) {
-			t.Fatalf("backward seek to %d diverges", b)
+	cur := sw.Cursor()
+	check := func(what string, p point) {
+		t.Helper()
+		var data []byte
+		var fp Fingerprint
+		if p.preFence {
+			data = cur.PreFenceData(p.b)
+			fp, _ = cur.PreFence(p.b, layout)
+		} else {
+			data = cur.ImageData(p.b)
+			fp = cur.Barrier(p.b, layout)
 		}
-		if want, ok := prefence[b]; ok && !bytes.Equal(back.PreFenceData(b), want) {
-			t.Fatalf("backward pre-fence seek to %d diverges", b)
+		if !bytes.Equal(data, images[p]) {
+			t.Fatalf("%s: image of %+v diverges from the forward walk", what, p)
+		}
+		if fp != fps[p] {
+			t.Fatalf("%s: fingerprint of %+v diverges from the forward walk", what, p)
+		}
+		if h, ok := cur.ImageHash(layout); !ok || h != fp.ImageHash {
+			t.Fatalf("%s: tracked image hash of %+v diverges from its fingerprint", what, p)
 		}
 	}
 
-	// Random-access on the same (already-rewound) cursor.
+	// Strictly backward, each barrier before its own pre-fence point.
+	for i := len(points) - 1; i >= 0; i-- {
+		check("backward", points[i])
+	}
+	// A pre-fence point, then the barrier before it; a pre-fence point
+	// twice; a pre-fence point, then its own barrier.
+	for b := 2; b <= sw.Barriers(); b++ {
+		if _, ok := images[point{b, true}]; !ok {
+			continue
+		}
+		check("pre-fence then earlier barrier", point{b, true})
+		check("pre-fence then earlier barrier", point{b - 1, false})
+		check("repeated pre-fence", point{b, true})
+		check("repeated pre-fence", point{b, true})
+		check("pre-fence then own barrier", point{b, false})
+	}
+	// Random access over both kinds.
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 32; i++ {
-		b := 1 + rng.Intn(sw.Barriers())
-		if !bytes.Equal(back.ImageData(b), images[b]) {
-			t.Fatalf("random seek to %d diverges", b)
-		}
+	for i := 0; i < 64; i++ {
+		check("random", points[rng.Intn(len(points))])
 	}
 }
 

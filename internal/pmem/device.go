@@ -338,9 +338,9 @@ func (d *Device) BarrierOps() []int {
 	return d.barrierOps
 }
 
-// SetSnapshotAlloc installs the allocator PersistedSnapshot and
-// VolatileSnapshot draw their output buffers from (an arena's buffer
-// pool); contents are fully overwritten before return. A nil allocator,
+// SetSnapshotAlloc installs the allocator PersistedSnapshot draws its
+// output buffers from (an arena's buffer pool); contents are fully
+// overwritten before return. A nil allocator,
 // or one returning a wrong-sized buffer, falls back to make. Reset
 // clears the hook.
 func (d *Device) SetSnapshotAlloc(f func(n int) []byte) { d.snapAlloc = f }
@@ -643,13 +643,6 @@ func (d *Device) snapBuf() []byte {
 func (d *Device) PersistedSnapshot() []byte {
 	out := d.snapBuf()
 	copy(out, d.persisted)
-	return out
-}
-
-// VolatileSnapshot returns a copy of the program-visible state.
-func (d *Device) VolatileSnapshot() []byte {
-	out := d.snapBuf()
-	copy(out, d.volatile)
 	return out
 }
 

@@ -49,9 +49,10 @@ const rootReserve = 64
 
 // ImageHasher keeps the page digests of one data buffer that changes
 // by small writes, so its content hash after a change rehashes only the
-// pages marked dirty since the previous Sum. The sweep's Partitioner and
-// SweepCursor feed it their journal deltas (markLines). A missing mark
-// makes Sum stale, so every write to the buffer must be marked.
+// pages marked dirty since the previous Sum. The sweep's SweepCursor
+// feeds it its journal deltas (markLines) and its rebuilds (markAll).
+// A missing mark makes Sum stale, so every write to the buffer must be
+// marked.
 type ImageHasher struct {
 	size int
 	// root is the root preimage: header room, then one digest per page

@@ -216,13 +216,25 @@ func (d *Device) captureCheckpoint() *Checkpoint {
 	return cp
 }
 
-// SweepCursor materializes crash images from a Sweep by applying deltas
-// to a working copy of the base image. Sequential ascending access is
-// O(delta) per step; seeking backwards rebuilds from the base.
+// SweepCursor is the one walker over a Sweep: it derives every crash
+// point's state on a single working copy of the base image, applying
+// each barrier's delta in place. ImageData and PreFenceData copy the
+// state out (the crash images); Barrier and PreFence fingerprint it
+// without a copy. Sequential ascending access is O(delta) per step;
+// seeking backwards rebuilds from the base.
+//
+// A pre-fence point is barrier b-1's state with barrier b's PreDelta
+// on top, and the cursor applies that PreDelta in place too: PreDelta
+// is a subset of Delta with identical bytes, so moving on to barrier b
+// or later rewrites those lines unchanged and needs no undo. Only a
+// seek back to barrier b-1's own state rebuilds.
 type SweepCursor struct {
 	s   *Sweep
-	pos int // barriers applied to cur
 	cur []byte
+	// pos counts barriers applied to cur; pre says barrier pos+1's
+	// PreDelta sits on top of them.
+	pos int
+	pre bool
 	// appliedLines counts delta lines applied since creation (monotonic,
 	// including rebuilds) — the unit the simulated clock charges for
 	// materialization.
@@ -230,12 +242,15 @@ type SweepCursor struct {
 	// hasher, once TrackHash is called, holds cur's page digests; every
 	// applied delta marks its pages dirty.
 	hasher *ImageHasher
+	// Memoized CommitVarsAt slice for fingerprints: consecutive points
+	// usually share the registration count.
+	cvN      int
+	cvRanges []Range
 }
 
-// Cursor returns a new materialization cursor positioned at the base
-// image (barrier 0).
+// Cursor returns a new cursor positioned at the base image (barrier 0).
 func (s *Sweep) Cursor() *SweepCursor {
-	return &SweepCursor{s: s, cur: append([]byte(nil), s.base...)}
+	return &SweepCursor{s: s, cur: append([]byte(nil), s.base...), cvN: -1}
 }
 
 // AppliedLines returns the cumulative count of delta lines applied.
@@ -252,8 +267,8 @@ func (c *SweepCursor) apply(ds []LineDelta) {
 }
 
 // TrackHash makes the cursor keep the page digests of its working copy,
-// so ImageHash rehashes only the pages the deltas applied since the
-// previous call touched.
+// so ImageHash and the fingerprints rehash only the pages the deltas
+// applied since the previous hash touched.
 func (c *SweepCursor) TrackHash() {
 	if c.hasher == nil {
 		c.hasher = NewImageHasher(c.cur)
@@ -261,7 +276,7 @@ func (c *SweepCursor) TrackHash() {
 }
 
 // ImageHash returns the content hash (zero UUID, the given layout) of
-// the barrier state the cursor stands at — what ImageData last
+// the state the cursor stands at — what ImageData or PreFenceData last
 // returned — and false when TrackHash was never called.
 func (c *SweepCursor) ImageHash(layout string) ([32]byte, bool) {
 	if c.hasher == nil {
@@ -270,32 +285,29 @@ func (c *SweepCursor) ImageHash(layout string) ([32]byte, bool) {
 	return c.hasher.Sum([16]byte{}, layout, c.cur), true
 }
 
-func applyDeltaTo(dst []byte, ds []LineDelta) {
-	for _, ld := range ds {
-		copy(dst[ld.Line*LineSize:], ld.Data)
-	}
-}
-
-// seek advances (or rebuilds and advances) the working copy to the state
-// after barrier b.
-func (c *SweepCursor) seek(b int) {
-	if b < c.pos {
+// seek brings the working copy to the state after barrier b, with
+// barrier b+1's PreDelta on top when pre is set. A repeated pre-fence
+// seek re-applies the PreDelta, so it is charged like the first.
+func (c *SweepCursor) seek(b int, pre bool) {
+	if b < c.pos || (b == c.pos && c.pre && !pre) {
 		copy(c.cur, c.s.base)
-		c.pos = 0
+		c.pos, c.pre = 0, false
 		if c.hasher != nil {
 			c.hasher.markAll()
 		}
 	}
-	for c.pos < b {
+	for ; c.pos < b; c.pos++ {
 		c.apply(c.s.cps[c.pos].Delta)
-		c.pos++
+	}
+	if c.pre = pre; pre {
+		c.apply(c.s.cps[b].PreDelta)
 	}
 }
 
 // ImageData returns a copy of the persisted state after barrier b — the
 // crash image a barrier-targeted failure at b leaves behind.
 func (c *SweepCursor) ImageData(b int) []byte {
-	c.seek(b)
+	c.seek(b, false)
 	return append([]byte(nil), c.cur...)
 }
 
@@ -304,10 +316,45 @@ func (c *SweepCursor) ImageData(b int) []byte {
 // eviction subset of the write-pending queue applied. Calling it before
 // ImageData(b) keeps the cursor moving strictly forward.
 func (c *SweepCursor) PreFenceData(b int) []byte {
-	c.seek(b - 1)
-	out := append([]byte(nil), c.cur...)
-	pre := c.s.cps[b-1].PreDelta
-	applyDeltaTo(out, pre)
-	c.appliedLines += len(pre)
-	return out
+	c.seek(b-1, true)
+	return append([]byte(nil), c.cur...)
+}
+
+// PreFence fingerprints the crash at barrier b's pre-fence op — the
+// state PreFenceData(b) materializes. ok is false when the fence is the
+// execution's first PM operation (no operation to fail at), matching
+// SweepResult.PreFenceCrash's guard. layout must be the layout of the
+// materialized images, so ImageHash agrees with Image.Hash.
+func (c *SweepCursor) PreFence(b int, layout string) (fp Fingerprint, ok bool) {
+	cp := &c.s.cps[b-1]
+	if cp.PreOp < 1 {
+		return Fingerprint{}, false
+	}
+	c.seek(b-1, true)
+	return c.point(layout, cp.PreLost, cp.PreCommitVarCount), true
+}
+
+// Barrier fingerprints the crash at barrier b — the state ImageData(b)
+// materializes.
+func (c *SweepCursor) Barrier(b int, layout string) Fingerprint {
+	c.seek(b, false)
+	cp := &c.s.cps[b-1]
+	return c.point(layout, cp.Lost, cp.CommitVarCount)
+}
+
+// point fingerprints the working copy's current state. cvCount is the
+// registration count at the point; the fingerprint carries the
+// normalized range count so it matches what a materialized Result's
+// CommitVars would expose.
+func (c *SweepCursor) point(layout string, lost []Range, cvCount int) Fingerprint {
+	c.TrackHash()
+	if cvCount != c.cvN {
+		c.cvRanges, c.cvN = c.s.CommitVarsAt(cvCount), cvCount
+	}
+	return Fingerprint{
+		ImageHash: c.hasher.Sum([16]byte{}, layout, c.cur),
+		TaintSig:  TaintSignature(lost),
+		CVCount:   len(c.cvRanges),
+		CVHash:    CommitVarSignature(c.cvRanges, c.cur),
+	}
 }
